@@ -8,22 +8,24 @@
 //!
 //! * `--json` — additionally write the results to `BENCH_kernels.json` in the current
 //!   directory (schema documented in README.md, "Compute kernels and the perf gate").
-//! * `--check` — exit non-zero if any of the gates fail. Four gates run:
+//! * `--check` — exit non-zero if any of the gates fail. Five gates run:
 //!   1. the blocked backend must not be slower than `--min-speedup` (default 1.0) times
 //!      the naive oracle on the gate shape, the largest GEMM;
-//!   2. the gate-shape speedup must stay within `MERGESFL_PERF_FLOOR` (default 0.70) of
+//!   2. the blocked backend must not be slower than the naive oracle on any convolution
+//!      case — every zoo stage, forward and backward;
+//!   3. the gate-shape speedup must stay within `MERGESFL_PERF_FLOOR` (default 0.70) of
 //!      the committed `BENCH_kernels.json` baseline, when one is present — a
 //!      noise-tolerant regression floor rather than an exact match;
-//!   3. with the tensor pool enabled, every blocked GEMM/conv case must run with zero
+//!   4. with the tensor pool enabled, every blocked GEMM/conv case must run with zero
 //!      steady-state heap allocations per iteration — including the double-buffered
 //!      driver on the gate shape (`MERGESFL_COUNT_ALLOCS=off` skips the measurement
 //!      and the gate);
-//!   4. on multi-core hosts, the double-buffered GEMM must not lose to the
+//!   5. on multi-core hosts, the double-buffered GEMM must not lose to the
 //!      single-stage packed driver on the gate shape (within 5% noise tolerance).
 //!      On single-core hosts pack and compute cannot overlap, so the gate reports
 //!      both timings and skips with a message.
 //!
-//! `--check` with all four gates is what CI's `perf-smoke` job runs.
+//! `--check` with all five gates is what CI's `perf-smoke` job runs.
 //!
 //! For every packed GEMM case the table also reports the explicit single-stage and
 //! double-buffered timings next to the runtime's auto-planned path, plus the stage
@@ -79,8 +81,35 @@ struct Entry {
     case: Case,
 }
 
+/// The four entries of one zoo convolution stage: forward and backward at batch 9 (the
+/// median per-worker batch of the benchmark's traced CIFAR run) and at batch 64 (the
+/// evaluation chunk).
+macro_rules! conv_stage {
+    ($name:literal, $geom:expr) => {{
+        let geom: fn(usize) -> ConvGeom = $geom;
+        [
+            Entry {
+                name: concat!($name, "_b9_fwd"),
+                case: Case::ConvForward(geom(9)),
+            },
+            Entry {
+                name: concat!($name, "_b9_bwd"),
+                case: Case::ConvBackward(geom(9)),
+            },
+            Entry {
+                name: concat!($name, "_b64_fwd"),
+                case: Case::ConvForward(geom(64)),
+            },
+            Entry {
+                name: concat!($name, "_b64_bwd"),
+                case: Case::ConvBackward(geom(64)),
+            },
+        ]
+    }};
+}
+
 fn zoo() -> Vec<Entry> {
-    vec![
+    let mut entries = vec![
         // Square GEMMs establishing the scaling trend; the largest is the CI gate.
         Entry {
             name: "gemm_nn_64x64x64",
@@ -169,7 +198,35 @@ fn zoo() -> Vec<Entry> {
             name: "conv1d_cnns_c1_b16_bwd",
             case: Case::ConvBackward(ConvGeom::conv1d(16, 1, 64, 8, 5, 1, 2)),
         },
-    ]
+    ];
+    // Every other convolution stage of the zoo (the entries above predate this table and
+    // keep their names: `calibrate` and the committed trajectory refer to them). The
+    // short-run stages (4x4 planes and below) are where panel packing amortises least.
+    entries.extend(conv_stage!("conv2d_cnnh_c1", |b| ConvGeom::conv2d(
+        b, 1, 12, 12, 6, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_alexnet_c2", |b| ConvGeom::conv2d(
+        b, 8, 8, 8, 16, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_alexnet_c3", |b| ConvGeom::conv2d(
+        b, 16, 4, 4, 16, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_vgg_c2", |b| ConvGeom::conv2d(
+        b, 8, 8, 8, 8, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_vgg_c4", |b| ConvGeom::conv2d(
+        b, 12, 4, 4, 12, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_vgg_c6", |b| ConvGeom::conv2d(
+        b, 16, 2, 2, 16, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_vgg_c8", |b| ConvGeom::conv2d(
+        b, 16, 1, 1, 16, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv1d_cnns_c2", |b| ConvGeom::conv1d(
+        b, 8, 32, 12, 3, 1, 1
+    )));
+    entries
 }
 
 fn gemm(trans: Trans, m: usize, n: usize, k: usize) -> Case {
@@ -238,8 +295,8 @@ struct Measurement {
     /// thread); `None` when counting is disabled via `MERGESFL_COUNT_ALLOCS=off`.
     allocs_per_iter: Option<f64>,
     /// Explicit single-stage packed timing with the auto plan's tile and partition;
-    /// `None` for cases the runtime plans as naive or direct (and for convs, whose
-    /// inner GEMMs are planned per image). Absent from the JSON output — the
+    /// `None` for cases the runtime plans as naive or direct (and for convs, which
+    /// pack their own panels and never stage). Absent from the JSON output — the
     /// committed baseline schema (v2) stays stable.
     single_ns: Option<f64>,
     /// Explicit double-buffered timing with the same tile and partition.
@@ -835,6 +892,23 @@ fn main() {
             failed = true;
         } else {
             println!("\nperf gate passed: {speedup:.2}x >= {min_speedup:.2}x on {GATE}");
+        }
+
+        // Conv gate: the panel drivers must beat the naive nests on every zoo stage, in
+        // both directions — the short-run stages (4x4 planes and below) included.
+        let slow: Vec<String> = results
+            .iter()
+            .filter(|r| r.kind.starts_with("conv") && r.blocked_ns > r.naive_ns)
+            .map(|r| format!("{} ({:.2}x)", r.name, r.speedup()))
+            .collect();
+        if slow.is_empty() {
+            println!("conv gate passed: blocked <= naive on every conv case");
+        } else {
+            eprintln!(
+                "CONV GATE FAILED: blocked conv slower than the naive oracle on: {}",
+                slow.join(", ")
+            );
+            failed = true;
         }
 
         // Perf floor against the committed baseline (noise-tolerant regression check).

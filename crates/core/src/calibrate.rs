@@ -5,12 +5,13 @@
 //! architecture's top model was charged at the same effective throughput and with the
 //! same critical/overlappable split. In reality the server's effective rate depends on
 //! the kernel mix the top model runs — small fully-connected GEMMs sustain a fraction of
-//! what large square GEMMs do, and im2col convolutions sit in between — and the share of
+//! what large square GEMMs do, and convolutions sit in between — and the share of
 //! a step that gates gradient dispatch depends on the measured forward/backward balance.
 //!
 //! [`ServerCostModel::for_architecture`] derives both quantities from `kernel_bench`
-//! measurements (the repo's committed `BENCH_kernels.json` trajectory, overridable with a
-//! freshly measured file via the `MERGESFL_BENCH_JSON` environment variable):
+//! measurements (the frozen [`REFERENCE_MEASUREMENTS`] snapshot, overridable with a
+//! freshly measured `BENCH_kernels.json` via the `MERGESFL_BENCH_JSON` environment
+//! variable):
 //!
 //! * **Throughput** — each architecture maps to the benchmark shapes its top model is
 //!   dominated by. The aggregate measured GFLOP/s over those shapes (forward plus a
@@ -31,7 +32,7 @@ use mergesfl_simnet::profile::SERVER_GFLOPS;
 use std::sync::OnceLock;
 
 /// One `kernel_bench` measurement: a named shape, its FLOP count, and the blocked-kernel
-/// wall time. Mirrors the entries of `BENCH_kernels.json`.
+/// wall time — the three fields calibration reads from a `BENCH_kernels.json` entry.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchMeasurement {
     /// Shape name as emitted by `kernel_bench` (e.g. `"gemm_nn_256x256x256"`).
@@ -42,10 +43,14 @@ pub struct BenchMeasurement {
     pub blocked_ns: f64,
 }
 
-/// The committed reference trajectory (repo-root `BENCH_kernels.json`), baked in so
-/// calibration is deterministic wherever the binary runs. A freshly measured file can be
-/// substituted at runtime with `MERGESFL_BENCH_JSON=/path/to/BENCH_kernels.json`; entries
-/// missing from the file fall back to these values.
+/// The reference measurements calibration runs against: a **frozen snapshot** of the
+/// `BENCH_kernels.json` recorded when the kernel runtime landed (PR 9), baked in so
+/// calibration is deterministic wherever the binary runs. It is deliberately *not* a mirror
+/// of the repo-root file, which later kernel work re-records: these values parametrise the
+/// *simulated* server, so editing them moves simulated time in every figure. A freshly
+/// measured file can be substituted at runtime with
+/// `MERGESFL_BENCH_JSON=/path/to/BENCH_kernels.json`; entries missing from the file fall
+/// back to these values.
 pub const REFERENCE_MEASUREMENTS: &[BenchMeasurement] = &[
     BenchMeasurement {
         name: "gemm_nn_64x64x64",
@@ -159,7 +164,7 @@ fn representative_shapes(arch: Architecture) -> (&'static [&'static str], &'stat
             &["conv2d_alexnet_c1_b16_fwd", "linear_alexnet_fc1_b64"],
             &["conv2d_alexnet_c1_b16_bwd"],
         ),
-        // VGG16's top layers im2col into large square GEMMs, with a measured conv
+        // VGG16's top layers are convolutions costed as large square GEMMs, with a measured conv
         // stage and its two head FC layers rounding out the forward mix.
         Architecture::Vgg16Lite => (
             &[
@@ -211,7 +216,7 @@ fn parse_bench_json(text: &str) -> Result<Vec<BenchMeasurement>, String> {
 }
 
 /// The measurement set calibration runs against: `MERGESFL_BENCH_JSON` when set and
-/// readable, the committed reference trajectory otherwise. Resolved once per process.
+/// readable, the frozen reference snapshot otherwise. Resolved once per process.
 fn active_measurements() -> &'static [BenchMeasurement] {
     static ACTIVE: OnceLock<Vec<BenchMeasurement>> = OnceLock::new();
     ACTIVE.get_or_init(|| {

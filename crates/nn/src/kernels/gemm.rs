@@ -31,13 +31,13 @@
 use rayon::prelude::*;
 
 use super::micro::{self, MicroKernelId, MicroSelect};
-use super::runtime::{record_stage_wait, runtime, GemmPlan};
+use super::runtime::{micro_select, packed_scheme, record_stage_wait, runtime, GemmPlan};
 use super::tiling::{PartitionSize, Staging, TilingScheme};
 use super::KernelBackend;
 
-/// Minimum number of floating-point operations (`2·m·n·k`) before the blocked path fans
-/// out across threads; below this the spawn overhead dominates.
-const PAR_MIN_FLOPS: usize = 1 << 22;
+/// Minimum number of floating-point operations (`2·m·n·k`) before a blocked kernel (GEMM
+/// or convolution) fans out across threads; below this the spawn overhead dominates.
+pub(super) const PAR_MIN_FLOPS: usize = 1 << 22;
 
 /// Operand layout of a GEMM call. `C` is always row-major `[m, n]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -324,7 +324,7 @@ fn b_at(trans: Trans, b: &[f32], n: usize, k: usize, p: usize, j: usize) -> f32 
 /// Packs an `mc_eff × kc_eff` block of A into `mr`-row panels, zero-padding the ragged
 /// last panel. Panel layout is `p`-major: `ap[panel][p * mr + i]`.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+pub(super) fn pack_a(
     trans: Trans,
     a: &[f32],
     (m, k): (usize, usize),
@@ -392,8 +392,8 @@ fn pack_b(
 
 /// The common micro-kernel signature the drivers call through (see [`super::micro`]).
 // SAFETY: the stored pointer is only ever a kernel whose CPU features were verified via
-// `is_available()`, and the drivers pass panels of at least `TMR*k` / `TNR*k` elements
-// as the kernels require. (Single line so the audit sees this comment on the `unsafe`.)
+// `is_available()`, and its one caller, `PanelKernel::fold`, checks the panel lengths
+// the kernels require. (Single line so the audit sees this comment on the `unsafe`.)
 #[rustfmt::skip]
 type MicroFn<const TMR: usize, const TNR: usize> = unsafe fn(&[f32], &[f32], &mut [[f32; TNR]; TMR]);
 
@@ -424,6 +424,72 @@ fn resolve_16x16(select: MicroSelect) -> MicroFn<16, 16> {
     micro::microkernel_generic::<16, 16>
 }
 
+/// A micro-kernel resolved for this host as a safe handle: what the packed drivers fold
+/// through, and what panel drivers outside this module get that pack their own operands
+/// (the convolutions, which pack straight from the NCHW tensors). The feature check and
+/// the one `unsafe` call stay in this module.
+#[derive(Clone, Copy)]
+pub(super) struct PanelKernel<const MR: usize, const NR: usize> {
+    micro_fn: MicroFn<MR, NR>,
+    /// Depth of the shared dimension one fold may cover (the scheme's `kc`).
+    pub(super) kc: usize,
+}
+
+impl<const MR: usize, const NR: usize> PanelKernel<MR, NR> {
+    /// `acc += ap · bp` in ascending-`p` order: `ap` is a `p`-major `kc × MR` panel, `bp`
+    /// a `p`-major `kc × NR` panel.
+    #[inline]
+    pub(super) fn fold(&self, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+        let kc = ap.len() / MR;
+        assert!(
+            ap.len() == kc * MR && bp.len() == kc * NR,
+            "PanelKernel::fold: panels must be kc x MR and kc x NR"
+        );
+        // SAFETY: the panel lengths were checked just above, and `micro_fn` is only ever
+        // set by dispatch_tile, i.e. to a kernel whose features the host has (see
+        // resolve_8x8 / resolve_16x8 / resolve_16x16).
+        unsafe { (self.micro_fn)(ap, bp, acc) };
+    }
+}
+
+/// A computation written once for every register tile.
+pub(super) trait PanelOp {
+    /// Runs the computation on the `MR × NR` tile.
+    fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>);
+}
+
+/// Monomorphises `op` for the scheme's tile and hands it the micro-kernel `select` allows
+/// on this host — the one place that maps tiles to kernels.
+fn dispatch_tile(scheme: &TilingScheme, select: MicroSelect, op: impl PanelOp) {
+    let kc = scheme.partition.kc;
+    match (scheme.tile.mr, scheme.tile.nr) {
+        (4, 8) => {
+            let micro_fn: MicroFn<4, 8> = micro::microkernel_generic::<4, 8>;
+            op.run(PanelKernel { micro_fn, kc })
+        }
+        (8, 8) => {
+            let micro_fn = resolve_8x8(select);
+            op.run(PanelKernel { micro_fn, kc })
+        }
+        (16, 8) => {
+            let micro_fn = resolve_16x8(select);
+            op.run(PanelKernel { micro_fn, kc })
+        }
+        (16, 16) => {
+            let micro_fn = resolve_16x16(select);
+            op.run(PanelKernel { micro_fn, kc })
+        }
+        (mr, nr) => panic!("gemm: unsupported register tile {mr}x{nr}"),
+    }
+}
+
+/// Runs `op` on the tile and micro-kernel the packed GEMM plan would use under the current
+/// knobs (`MERGESFL_MICROKERNEL`, `MERGESFL_TILING`) and host features.
+pub(super) fn with_panel_kernel(op: impl PanelOp) {
+    let select = micro_select();
+    dispatch_tile(&packed_scheme(select, Staging::Single), select, op);
+}
+
 /// Runs one scheme over the row slice `c_rows` (rows `[row0, row0 + m_local)` of the full
 /// `[m, n]` output). `dims` carries the full problem sizes so the transposed layouts can
 /// index A and B globally.
@@ -439,91 +505,35 @@ pub(super) fn gemm_dispatch(
     scheme: &TilingScheme,
     select: MicroSelect,
 ) {
-    match (scheme.tile.mr, scheme.tile.nr) {
-        (4, 8) => run_tiled::<4, 8>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            micro::microkernel_generic::<4, 8>,
-        ),
-        (8, 8) => run_tiled::<8, 8>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            resolve_8x8(select),
-        ),
-        (16, 8) => run_tiled::<16, 8>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            resolve_16x8(select),
-        ),
-        (16, 16) => run_tiled::<16, 16>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            resolve_16x16(select),
-        ),
-        (mr, nr) => panic!("gemm: unsupported register tile {mr}x{nr}"),
-    }
+    let op = Tiled(trans, dims, a, b, c_rows, row0, m_local, scheme);
+    dispatch_tile(scheme, select, op);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_tiled<const TMR: usize, const TNR: usize>(
-    trans: Trans,
-    dims: (usize, usize, usize),
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
-    scheme: &TilingScheme,
-    micro_fn: MicroFn<TMR, TNR>,
-) {
-    match scheme.stage {
-        Staging::Direct => gemm_direct::<TMR, TNR>(trans, dims, a, b, c_rows, row0, m_local),
-        Staging::Single => gemm_packed_single::<TMR, TNR>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            &scheme.partition,
-            micro_fn,
-        ),
-        Staging::Double => gemm_packed_double::<TMR, TNR>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            &scheme.partition,
-            micro_fn,
-        ),
+/// One tiled GEMM over a row slice as a [`PanelOp`]: the arguments of [`gemm_dispatch`].
+struct Tiled<'a>(
+    Trans,
+    (usize, usize, usize),
+    &'a [f32],
+    &'a [f32],
+    &'a mut [f32],
+    usize,
+    usize,
+    &'a TilingScheme,
+);
+
+impl PanelOp for Tiled<'_> {
+    fn run<const TMR: usize, const TNR: usize>(self, pk: PanelKernel<TMR, TNR>) {
+        let Tiled(trans, dims, a, b, c_rows, row0, m_local, scheme) = self;
+        let part = &scheme.partition;
+        match scheme.stage {
+            Staging::Direct => gemm_direct::<TMR, TNR>(trans, dims, a, b, c_rows, row0, m_local),
+            Staging::Single => {
+                gemm_packed_single(trans, dims, a, b, c_rows, row0, m_local, part, pk)
+            }
+            Staging::Double => {
+                gemm_packed_double(trans, dims, a, b, c_rows, row0, m_local, part, pk)
+            }
+        }
     }
 }
 
@@ -597,43 +607,45 @@ fn gemm_direct<const TMR: usize, const TNR: usize>(
 // Packed single-stage driver (BLIS loop nest).
 // ---------------------------------------------------------------------------
 
-/// Folds one packed `(jc, ic, pc)` block into the C tiles it covers. Shared by the
-/// single- and double-stage drivers so both accumulate in exactly the same order.
-#[allow(clippy::too_many_arguments)]
-fn compute_block<const TMR: usize, const TNR: usize>(
-    ap: &[f32],
-    bp: &[f32],
-    c_rows: &mut [f32],
-    n: usize,
-    jc: usize,
-    ic: usize,
-    mc_eff: usize,
-    nc_eff: usize,
-    kc_eff: usize,
-    micro_fn: MicroFn<TMR, TNR>,
-) {
-    for pa in 0..mc_eff.div_ceil(TMR) {
-        let i0 = ic + pa * TMR;
-        let rows = TMR.min(mc_eff - pa * TMR);
-        let ap_panel = &ap[pa * TMR * kc_eff..(pa + 1) * TMR * kc_eff];
-        for pb in 0..nc_eff.div_ceil(TNR) {
-            let j0 = jc + pb * TNR;
-            let cols = TNR.min(nc_eff - pb * TNR);
-            let bp_panel = &bp[pb * TNR * kc_eff..(pb + 1) * TNR * kc_eff];
-            // Load the destination tile (padded lanes start at zero and are
-            // discarded), fold the panel product into it, store it back.
-            let mut acc = [[0.0f32; TNR]; TMR];
-            for (il, acc_row) in acc.iter_mut().enumerate().take(rows) {
-                let c_row = &c_rows[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
-                acc_row[..cols].copy_from_slice(c_row);
-            }
-            // SAFETY: the panel layout satisfies the micro-kernel's length
-            // contract, and the SIMD variants are only reachable after runtime
-            // feature detection (see resolve_8x8 / resolve_16x8).
-            unsafe { micro_fn(ap_panel, bp_panel, &mut acc) };
-            for (il, acc_row) in acc.iter().enumerate().take(rows) {
-                let c_row = &mut c_rows[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
-                c_row.copy_from_slice(&acc_row[..cols]);
+impl<const TMR: usize, const TNR: usize> PanelKernel<TMR, TNR> {
+    /// Folds one packed block into the C tiles it covers: `ap` holds the `TMR`-row panels
+    /// of `mc_eff` rows, `bp` the `TNR`-column panels of `nc_eff` columns, both `kc_eff`
+    /// deep, and the block starts at row `ic`, column `jc` of the row-major `[_, n]`
+    /// `c_rows`. Shared by the single- and double-stage drivers (and the convolution
+    /// weight gradient) so all accumulate in exactly the same order.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn fold_block(
+        &self,
+        ap: &[f32],
+        bp: &[f32],
+        c_rows: &mut [f32],
+        n: usize,
+        jc: usize,
+        ic: usize,
+        mc_eff: usize,
+        nc_eff: usize,
+        kc_eff: usize,
+    ) {
+        for pa in 0..mc_eff.div_ceil(TMR) {
+            let i0 = ic + pa * TMR;
+            let rows = TMR.min(mc_eff - pa * TMR);
+            let ap_panel = &ap[pa * TMR * kc_eff..(pa + 1) * TMR * kc_eff];
+            for pb in 0..nc_eff.div_ceil(TNR) {
+                let j0 = jc + pb * TNR;
+                let cols = TNR.min(nc_eff - pb * TNR);
+                let bp_panel = &bp[pb * TNR * kc_eff..(pb + 1) * TNR * kc_eff];
+                // Load the destination tile (padded lanes start at zero and are
+                // discarded), fold the panel product into it, store it back.
+                let mut acc = [[0.0f32; TNR]; TMR];
+                for (il, acc_row) in acc.iter_mut().enumerate().take(rows) {
+                    let c_row = &c_rows[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
+                    acc_row[..cols].copy_from_slice(c_row);
+                }
+                self.fold(ap_panel, bp_panel, &mut acc);
+                for (il, acc_row) in acc.iter().enumerate().take(rows) {
+                    let c_row = &mut c_rows[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
+                    c_row.copy_from_slice(&acc_row[..cols]);
+                }
             }
         }
     }
@@ -652,7 +664,7 @@ fn gemm_packed_single<const TMR: usize, const TNR: usize>(
     row0: usize,
     m_local: usize,
     part: &PartitionSize,
-    micro_fn: MicroFn<TMR, TNR>,
+    pk: PanelKernel<TMR, TNR>,
 ) {
     let (m, n, k) = dims;
     if m_local == 0 || n == 0 || k == 0 {
@@ -685,9 +697,7 @@ fn gemm_packed_single<const TMR: usize, const TNR: usize>(
                     &mut ap,
                     TMR,
                 );
-                compute_block::<TMR, TNR>(
-                    &ap, &bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff, micro_fn,
-                );
+                pk.fold_block(&ap, &bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff);
             }
         }
     }
@@ -896,7 +906,7 @@ fn gemm_packed_double<const TMR: usize, const TNR: usize>(
     row0: usize,
     m_local: usize,
     part: &PartitionSize,
-    micro_fn: MicroFn<TMR, TNR>,
+    pk: PanelKernel<TMR, TNR>,
 ) {
     let (m, n, k) = dims;
     if m_local == 0 || n == 0 || k == 0 {
@@ -985,7 +995,7 @@ fn gemm_packed_double<const TMR: usize, const TNR: usize>(
                     std::slice::from_raw_parts(bp_ptrs[g % 2], bp_len),
                 )
             };
-            compute_block::<TMR, TNR>(ap, bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff, micro_fn);
+            pk.fold_block(ap, bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff);
             // The packer only waits for done(t) before packing stage t + 2, so
             // the last two stages need no token (and sending one would strand
             // it in the channel for the next job).

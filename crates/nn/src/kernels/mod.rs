@@ -14,15 +14,18 @@
 //!   plus a [`micro`] kernel chosen behind CPU feature detection, and the drivers in
 //!   [`gemm`] execute whatever plan they are handed — including double-buffered
 //!   multi-stage execution, where a persistent packer thread overlaps the next stage's
-//!   packing with the current stage's compute. Convolutions im2col into the same GEMMs
-//!   ([`conv`]), and intra-op parallelism fans row panels out through the rayon shim.
+//!   packing with the current stage's compute. Convolutions ([`conv`]) run the same
+//!   micro-kernels over panels they pack straight from the NCHW tensors — one batch-wide
+//!   product per layer, no patch matrix — and intra-op parallelism fans row panels (GEMM)
+//!   or image ranges (conv forward) out through the rayon shim.
 //!
-//! Both backends are deterministic, and the blocked GEMM accumulates every output element
+//! Both backends are deterministic, and the blocked kernels accumulate every output element
 //! in exactly the same ascending-`k` order as the naive loops (the micro-kernel loads the
 //! destination tile and folds into it), so forward passes, weight gradients and bias
 //! gradients are **bit-identical** across backends on finite inputs. The only reassociated
-//! reduction is the conv input gradient (`col2im` sums kernel taps in a different order),
-//! which property tests bound to a few ULPs (see `tests/kernel_parity.rs`).
+//! reduction is the conv input gradient (it sums kernel taps per output position, the
+//! naive nest per output channel), which property tests bound to a few ULPs (see
+//! `tests/kernel_parity.rs`) and `conv`'s unit tests pin bit for bit.
 //!
 //! The process-wide default backend is read by [`crate::Tensor::matmul`] and every layer at
 //! call time; it is selected through [`set_default_backend`] (plumbed from
@@ -53,7 +56,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelBackend {
     /// The original triple-loop matmul and direct convolution nests (test oracle).
     Naive,
-    /// Cache-blocked, register-tiled GEMM and im2col convolution (default).
+    /// Cache-blocked, register-tiled GEMM and panel-packed convolution (default).
     #[default]
     Blocked,
 }

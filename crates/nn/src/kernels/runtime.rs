@@ -138,10 +138,7 @@ impl Runtime for CpuRuntime {
         } else {
             Staging::Single
         };
-        let mut scheme = TilingScheme::packed(preferred_tile(micro), stage);
-        tiling_override().apply(&mut scheme);
-        scheme.validate();
-        GemmPlan::Tiled(scheme, micro)
+        GemmPlan::Tiled(packed_scheme(micro, stage), micro)
     }
 
     fn gemm(
@@ -174,6 +171,16 @@ static CPU_RUNTIME: CpuRuntime = CpuRuntime;
 /// extension point is a second implementation returned from here.
 pub fn runtime() -> &'static dyn Runtime {
     &CPU_RUNTIME
+}
+
+/// The packed scheme of the current knobs: the preferred tile of `micro`, default cache
+/// blocking, `MERGESFL_TILING` applied on top. Shared by [`CpuRuntime::select`] and the
+/// convolution panel drivers, so both honour the same overrides.
+pub(super) fn packed_scheme(micro: MicroSelect, stage: Staging) -> TilingScheme {
+    let mut scheme = TilingScheme::packed(preferred_tile(micro), stage);
+    tiling_override().apply(&mut scheme);
+    scheme.validate();
+    scheme
 }
 
 /// The widest tile the `micro` policy can actually run on this host. A forced
@@ -385,19 +392,19 @@ pub(super) fn record_stage_wait(wait_ns: u64, stages: u64) {
     STAGE_COUNT.fetch_add(stages, Ordering::Relaxed);
 }
 
+/// The overrides are process-global; every unit test that writes them, or asserts on
+/// what it reads, holds this lock so parallel test threads cannot observe each other's
+/// state.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
+    use super::override_lock as lock;
     use super::*;
-    use std::sync::{Mutex, OnceLock};
-
-    /// The overrides are process-global; serialise every test that reads or
-    /// writes them so parallel test threads cannot observe each other's state.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     fn clear_overrides() {
         set_micro_override(None);

@@ -69,8 +69,13 @@ impl Sequential {
     /// Runs a backward pass through every layer in reverse order, returning the gradient
     /// with respect to the model input.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        // The last layer borrows the caller's gradient; only an empty model copies it.
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g

@@ -1,11 +1,11 @@
 //! Property tests: the blocked kernel backend against the naive oracle.
 //!
-//! The blocked GEMM and the im2col convolution accumulate every output element, weight
-//! gradient and bias gradient in exactly the same ascending-`k` order as the naive loop
-//! nests, so those results must be **bit-identical** across backends on finite inputs.
-//! The one reassociated reduction — the conv input gradient, whose `col2im` scatter sums
-//! kernel taps in a different order than the naive nest — is held to a few-ULP relative
-//! tolerance instead.
+//! The blocked GEMM and the panel-packed convolution accumulate every output element,
+//! weight gradient and bias gradient in exactly the same ascending-`k` order as the naive
+//! loop nests, so those results must be **bit-identical** across backends on finite inputs.
+//! The one reassociated reduction — the conv input gradient, which sums kernel taps per
+//! output position where the naive nest sums per output channel — is held to a few-ULP
+//! relative tolerance instead.
 //!
 //! Shapes, strides and paddings are drawn randomly, and the degenerate corners (1×1
 //! kernels, 1×1 images, empty batches, `k = 0` products) get dedicated cases below.
