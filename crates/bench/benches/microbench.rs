@@ -27,7 +27,7 @@ fn bench_tensor_ops(c: &mut Criterion) {
     let mut conv = Conv2d::new(&mut seeded(0), 3, 8, 3, 1, 1);
     let x = Tensor::full(&[8, 3, 16, 16], 0.1);
     c.bench_function("layer/conv2d_forward_8x3x16x16", |bench| {
-        bench.iter(|| black_box(conv.forward(&x, true)))
+        bench.iter(|| black_box(conv.forward(x.clone(), true)))
     });
 }
 

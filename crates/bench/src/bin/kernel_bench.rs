@@ -1,6 +1,7 @@
 //! Kernel benchmark: times the blocked GEMM/conv kernels against the naive oracle on
-//! shapes drawn from the model zoo, counts steady-state heap allocations on the blocked
-//! hot path, and emits the repo's perf trajectory file.
+//! shapes drawn from the model zoo, times the single-implementation layer families
+//! (max-pool, ReLU) at the zoo's activation shapes, counts steady-state heap allocations
+//! on the hot path, and emits the repo's perf trajectory file.
 //!
 //! ```text
 //! kernel_bench [--json] [--check] [--min-speedup X]
@@ -16,10 +17,10 @@
 //!   3. the gate-shape speedup must stay within `MERGESFL_PERF_FLOOR` (default 0.70) of
 //!      the committed `BENCH_kernels.json` baseline, when one is present — a
 //!      noise-tolerant regression floor rather than an exact match;
-//!   4. with the tensor pool enabled, every blocked GEMM/conv case must run with zero
-//!      steady-state heap allocations per iteration — including the double-buffered
-//!      driver on the gate shape (`MERGESFL_COUNT_ALLOCS=off` skips the measurement
-//!      and the gate);
+//!   4. with the tensor pool enabled, every blocked GEMM/conv case and every max-pool /
+//!      ReLU case must run with zero steady-state heap allocations per iteration —
+//!      including the double-buffered driver on the gate shape
+//!      (`MERGESFL_COUNT_ALLOCS=off` skips the measurement and the gate);
 //!   5. on multi-core hosts, the double-buffered GEMM must not lose to the
 //!      single-stage packed driver on the gate shape (within 5% noise tolerance).
 //!      On single-core hosts pack and compute cannot overlap, so the gate reports
@@ -39,10 +40,11 @@
 //! don't pollute the steady-state count.
 
 use mergesfl::json::{self, write_f64, JsonValue};
-use mergesfl_nn::kernels::conv::{conv_backward, conv_forward, ConvGeom};
+use mergesfl_nn::kernels::conv::{conv_backward, conv_backward_params, conv_forward, ConvGeom};
+use mergesfl_nn::kernels::pool::{maxpool_backward, maxpool_forward, maxpool_forward_values};
 use mergesfl_nn::kernels::{
-    gemm_cfg, gemm_with_scheme, reset_stage_stats, runtime, stage_stats, Epilogue, GemmPlan,
-    KernelBackend, Staging, TilingScheme, Trans,
+    gemm_cfg, gemm_with_scheme, relu_backward, relu_in_place, reset_stage_stats, runtime,
+    stage_stats, Epilogue, GemmPlan, KernelBackend, Staging, TilingScheme, Trans,
 };
 use mergesfl_nn::rng::seeded;
 use rand::Rng;
@@ -74,6 +76,85 @@ enum Case {
     ConvForward(ConvGeom),
     /// One convolution backward pass (weight, bias and input gradients).
     ConvBackward(ConvGeom),
+    /// One convolution backward pass without the input gradient: what a model's first
+    /// layer runs under `Sequential::backward_params`.
+    ConvBackwardParams(ConvGeom),
+    /// One max-pool or ReLU kernel pass at a zoo activation shape.
+    Layer(LayerOp, PoolShape),
+}
+
+/// `planes` planes of `h × w` pooled by a `kh × kw` window — the activation a zoo model's
+/// first ReLU produces and its first max-pool consumes.
+#[derive(Clone, Copy)]
+struct PoolShape {
+    planes: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+}
+
+impl PoolShape {
+    fn len(&self) -> usize {
+        self.planes * self.h * self.w
+    }
+}
+
+/// The layer families that have a single implementation (no naive/blocked split).
+#[derive(Clone, Copy)]
+enum LayerOp {
+    /// Max-pool training forward: values and argmax.
+    PoolForward,
+    /// Max-pool inference forward: values only.
+    PoolForwardInfer,
+    /// Max-pool backward: the argmax scatter.
+    PoolBackward,
+    /// ReLU forward: the in-place clamp.
+    ReluForward,
+    /// ReLU backward: the gradient masked by the forward's output.
+    ReluBackward,
+}
+
+impl LayerOp {
+    fn kind(self) -> &'static str {
+        match self {
+            LayerOp::PoolForward => "pool_forward",
+            LayerOp::PoolForwardInfer => "pool_forward_infer",
+            LayerOp::PoolBackward => "pool_backward",
+            LayerOp::ReluForward => "relu_forward",
+            LayerOp::ReluBackward => "relu_backward",
+        }
+    }
+}
+
+/// The five entries of one zoo activation shape: the ReLU that produces it and the
+/// max-pool that consumes it.
+macro_rules! layer_stage {
+    ($name:literal, $shape:expr) => {{
+        let shape: PoolShape = $shape;
+        [
+            Entry {
+                name: concat!("maxpool_", $name, "_fwd"),
+                case: Case::Layer(LayerOp::PoolForward, shape),
+            },
+            Entry {
+                name: concat!("maxpool_", $name, "_fwd_infer"),
+                case: Case::Layer(LayerOp::PoolForwardInfer, shape),
+            },
+            Entry {
+                name: concat!("maxpool_", $name, "_bwd"),
+                case: Case::Layer(LayerOp::PoolBackward, shape),
+            },
+            Entry {
+                name: concat!("relu_", $name, "_fwd"),
+                case: Case::Layer(LayerOp::ReluForward, shape),
+            },
+            Entry {
+                name: concat!("relu_", $name, "_bwd"),
+                case: Case::Layer(LayerOp::ReluBackward, shape),
+            },
+        ]
+    }};
 }
 
 struct Entry {
@@ -191,6 +272,10 @@ fn zoo() -> Vec<Entry> {
             case: Case::ConvBackward(ConvGeom::conv2d(16, 3, 16, 16, 8, 3, 1, 1)),
         },
         Entry {
+            name: "conv2d_alexnet_c1_b16_bwd_params",
+            case: Case::ConvBackwardParams(ConvGeom::conv2d(16, 3, 16, 16, 8, 3, 1, 1)),
+        },
+        Entry {
             name: "conv1d_cnns_c1_b16_fwd",
             case: Case::ConvForward(ConvGeom::conv1d(16, 1, 64, 8, 5, 1, 2)),
         },
@@ -226,6 +311,38 @@ fn zoo() -> Vec<Entry> {
     entries.extend(conv_stage!("conv1d_cnns_c2", |b| ConvGeom::conv1d(
         b, 8, 32, 12, 3, 1, 1
     )));
+    // The other layer families the benchmark's trace reports: each zoo model's first
+    // ReLU → max-pool pair at the per-worker batch its workload runs.
+    entries.extend(layer_stage!(
+        "cnns_p1_b8",
+        PoolShape {
+            planes: 8 * 8,
+            h: 1,
+            w: 64,
+            kh: 1,
+            kw: 2
+        }
+    ));
+    entries.extend(layer_stage!(
+        "alexnet_p1_b9",
+        PoolShape {
+            planes: 9 * 8,
+            h: 16,
+            w: 16,
+            kh: 2,
+            kw: 2
+        }
+    ));
+    entries.extend(layer_stage!(
+        "cnnh_p1_b16",
+        PoolShape {
+            planes: 16 * 6,
+            h: 12,
+            w: 12,
+            kh: 2,
+            kw: 2
+        }
+    ));
     entries
 }
 
@@ -548,38 +665,24 @@ fn measure(entry: &Entry) -> Measurement {
                 stage_idle_pct: None,
             }
         }
-        Case::ConvBackward(geom) => {
-            let x = random_vec(&mut rng, geom.n * geom.c_in * geom.h * geom.w);
-            let w = random_vec(&mut rng, geom.c_out * geom.c_in * geom.kh * geom.kw);
-            let go = random_vec(&mut rng, geom.n * geom.c_out * geom.h_out() * geom.w_out());
-            let mut grad_w = vec![0.0f32; w.len()];
-            let mut grad_b = vec![0.0f32; geom.c_out];
-            // Backward runs the weight-gradient and input-gradient products: ~2x forward.
-            let flops = 2.0 * conv_flops(geom);
+        Case::ConvBackward(geom) | Case::ConvBackwardParams(geom) => {
+            let with_input_grad = matches!(entry.case, Case::ConvBackward(_));
+            // Backward runs the weight-gradient and, unless the input gradient is dead,
+            // the input-gradient product: ~2x (1x) forward.
+            let flops = if with_input_grad { 2.0 } else { 1.0 } * conv_flops(geom);
             let reps = reps_for(flops);
-            let mut run = |backend: KernelBackend| {
-                best_ns(
-                    || {
-                        grad_w.fill(0.0);
-                        grad_b.fill(0.0);
-                        std::hint::black_box(conv_backward(
-                            backend,
-                            geom,
-                            &x,
-                            &w,
-                            &go,
-                            &mut grad_w,
-                            &mut grad_b,
-                        ));
-                    },
-                    reps,
-                )
+            let run = |backend: KernelBackend| {
+                best_ns(conv_backward_op(geom, backend, with_input_grad), reps)
             };
             let naive_ns = run(KernelBackend::Naive).0;
             let (blocked_ns, blocked_jitter_ns) = run(KernelBackend::Blocked);
             Measurement {
                 name: entry.name,
-                kind: "conv_backward",
+                kind: if with_input_grad {
+                    "conv_backward"
+                } else {
+                    "conv_backward_params"
+                },
                 flops,
                 naive_ns,
                 blocked_ns,
@@ -589,6 +692,107 @@ fn measure(entry: &Entry) -> Measurement {
                 double_ns: None,
                 stage_idle_pct: None,
             }
+        }
+        Case::Layer(op, shape) => {
+            // One comparison per pooled input element, one per ReLU element.
+            let ops = shape.len() as f64;
+            let (ns, jitter_ns) = best_ns(layer_op(*op, *shape), reps_for(ops));
+            Measurement {
+                name: entry.name,
+                kind: op.kind(),
+                flops: ops,
+                // One implementation: both columns hold the one measurement.
+                naive_ns: ns,
+                blocked_ns: ns,
+                blocked_jitter_ns: jitter_ns,
+                allocs_per_iter: None,
+                single_ns: None,
+                double_ns: None,
+                stage_idle_pct: None,
+            }
+        }
+    }
+}
+
+/// One iteration of a convolution backward case over its own buffers, shared by the
+/// timing and the allocation phases. The returned input gradient is a pooled `Vec` and is
+/// recycled explicitly — what `Tensor::from_vec` adoption does on the training path.
+fn conv_backward_op(
+    geom: &ConvGeom,
+    backend: KernelBackend,
+    with_input_grad: bool,
+) -> impl FnMut() + '_ {
+    let mut rng = seeded(42);
+    let x = random_vec(&mut rng, geom.n * geom.c_in * geom.h * geom.w);
+    let w = random_vec(&mut rng, geom.c_out * geom.c_in * geom.kh * geom.kw);
+    let go = random_vec(&mut rng, geom.n * geom.c_out * geom.h_out() * geom.w_out());
+    let mut grad_w = vec![0.0f32; w.len()];
+    let mut grad_b = vec![0.0f32; geom.c_out];
+    move || {
+        grad_w.fill(0.0);
+        grad_b.fill(0.0);
+        if with_input_grad {
+            let grad_in = conv_backward(backend, geom, &x, &w, &go, &mut grad_w, &mut grad_b);
+            std::hint::black_box(&grad_in);
+            mergesfl_nn::pool::recycle(grad_in);
+        } else {
+            conv_backward_params(backend, geom, &x, &w, &go, &mut grad_w, &mut grad_b);
+        }
+        std::hint::black_box((&grad_w, &grad_b));
+    }
+}
+
+/// One iteration of a max-pool or ReLU case over its own buffers, shared by the timing
+/// and the allocation phases. The activation is post-ReLU (about half exact zeros): what
+/// the pool sees, and no cheaper for the ReLU passes, which are selects.
+fn layer_op(op: LayerOp, shape: PoolShape) -> Box<dyn FnMut()> {
+    let PoolShape {
+        planes,
+        h,
+        w,
+        kh,
+        kw,
+    } = shape;
+    let mut rng = seeded(42);
+    let x: Vec<f32> = random_vec(&mut rng, shape.len())
+        .into_iter()
+        .map(|v| v.max(0.0))
+        .collect();
+    match op {
+        LayerOp::PoolForward => Box::new(move || {
+            let (out, argmax) = maxpool_forward(&x, planes, h, w, kh, kw);
+            std::hint::black_box((&out, &argmax));
+            mergesfl_nn::pool::recycle(out);
+            mergesfl_nn::pool::recycle(argmax);
+        }),
+        LayerOp::PoolForwardInfer => Box::new(move || {
+            let out = maxpool_forward_values(&x, planes, h, w, kh, kw);
+            std::hint::black_box(&out);
+            mergesfl_nn::pool::recycle(out);
+        }),
+        LayerOp::PoolBackward => {
+            let (out, argmax) = maxpool_forward(&x, planes, h, w, kh, kw);
+            let grad_out = random_vec(&mut rng, out.len());
+            Box::new(move || {
+                let grad_in = maxpool_backward(&grad_out, &argmax, x.len());
+                std::hint::black_box(&grad_in);
+                mergesfl_nn::pool::recycle(grad_in);
+            })
+        }
+        LayerOp::ReluForward => {
+            let mut x = x;
+            Box::new(move || {
+                relu_in_place(&mut x);
+                std::hint::black_box(&x);
+            })
+        }
+        LayerOp::ReluBackward => {
+            let grad_out = random_vec(&mut rng, x.len());
+            Box::new(move || {
+                let grad_in = relu_backward(&grad_out, &x);
+                std::hint::black_box(&grad_in);
+                mergesfl_nn::pool::recycle(grad_in);
+            })
         }
     }
 }
@@ -663,27 +867,12 @@ fn measure_allocs(entry: &Entry) -> f64 {
             })
         }
         Case::ConvBackward(geom) => {
-            let x = random_vec(&mut rng, geom.n * geom.c_in * geom.h * geom.w);
-            let w = random_vec(&mut rng, geom.c_out * geom.c_in * geom.kh * geom.kw);
-            let go = random_vec(&mut rng, geom.n * geom.c_out * geom.h_out() * geom.w_out());
-            let mut grad_w = vec![0.0f32; w.len()];
-            let mut grad_b = vec![0.0f32; geom.c_out];
-            steady_state_allocs(|| {
-                grad_w.fill(0.0);
-                grad_b.fill(0.0);
-                let grad_in = conv_backward(
-                    KernelBackend::Blocked,
-                    geom,
-                    &x,
-                    &w,
-                    &go,
-                    &mut grad_w,
-                    &mut grad_b,
-                );
-                std::hint::black_box(&grad_in);
-                mergesfl_nn::pool::recycle(grad_in);
-            })
+            steady_state_allocs(conv_backward_op(geom, KernelBackend::Blocked, true))
         }
+        Case::ConvBackwardParams(geom) => {
+            steady_state_allocs(conv_backward_op(geom, KernelBackend::Blocked, false))
+        }
+        Case::Layer(op, shape) => steady_state_allocs(layer_op(*op, *shape)),
     }
 }
 
@@ -935,8 +1124,8 @@ fn main() {
             None => println!("perf floor skipped: no parsable committed BENCH_kernels.json"),
         }
 
-        // Allocation gate: every blocked GEMM/conv case must be allocation-free in
-        // steady state when the pool serves checkouts.
+        // Allocation gate: every blocked GEMM/conv case and every pool/ReLU case must be
+        // allocation-free in steady state when the pool serves checkouts.
         if mergesfl_nn::pool::count_allocs() && mergesfl_nn::pool::enabled() {
             let mut leaky: Vec<String> = results
                 .iter()

@@ -22,15 +22,15 @@
 //! | `MERGESFL_NUM_SERVERS` | `mergesfl::config` | number of top-model shards (integer ≥ 1) |
 //! | `MERGESFL_SYNC_EVERY` | `mergesfl::config` | rounds between full synchronisations |
 //! | `MERGESFL_STALENESS` | `mergesfl::config` | bounded-staleness window (0 = fully synchronous) |
-//! | `MERGESFL_TOPOLOGY` | `mergesfl::config` | shard topology spec, e.g. `ring:4` |
+//! | `MERGESFL_TOPOLOGY` | `mergesfl::config` | server-shard topology: `replicated` (default) or `partitioned` / `output-partitioned`; unknown values keep the default |
 //! | `MERGESFL_FLEET` | `mergesfl::config` | registered fleet size (integer ≥ num_workers; unset = classic dense regime) |
 //! | `MERGESFL_CHURN` | `mergesfl::config` | `on`/`1`/`true` enables availability churn |
 //! | `MERGESFL_CHURN_PERIOD` | `mergesfl::config` | diurnal availability-wave period in rounds (default 48) |
 //! | `MERGESFL_CHURN_MIN_AVAIL` | `mergesfl::config` | availability floor in (0, 1] (default 0.6) |
 //! | `MERGESFL_CHURN_DROPOUT` | `mergesfl::config` | mid-round dropout probability in [0, 1) (default 0.05) |
-//! | `MERGESFL_BENCH_JSON` | `mergesfl::calibrate` | path to write calibration JSON to |
-//! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | minimum blocked/naive speedup ratio gate |
-//! | `MERGESFL_SCALE` | `mergesfl_bench` | `smoke`/`small`/`full` benchmark scale |
+//! | `MERGESFL_BENCH_JSON` | `mergesfl::calibrate` | path of a `BENCH_kernels.json` to *read* server-cost calibration measurements from (default: the frozen reference snapshot) |
+//! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (default 0.70) |
+//! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default) / `standard` / `paper`; unknown values run `quick` |
 //! | `MERGESFL_JSON` | `mergesfl_bench` | `1` switches bench output to JSON lines |
 //! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter |
 //! | `RAYON_NUM_THREADS` | rayon shim | worker-thread cap (read directly by the shim) |

@@ -190,6 +190,40 @@ pub fn conv_backward(
     grad_w: &mut [f32],
     grad_b: &mut [f32],
 ) -> Vec<f32> {
+    // Zeroed checkout: both backends accumulate into grad_in via `+=`.
+    let mut grad_in = crate::pool::take_zeroed::<f32>(x.len());
+    let grads = (grad_w, grad_b, Some(&mut grad_in[..]));
+    backward(backend, geom, x, weight, grad_out, grads);
+    grad_in
+}
+
+/// [`conv_backward`] without the input gradient, for a layer whose input is the model's
+/// input: the same weight and bias gradients, and neither the input-gradient product nor
+/// its buffer.
+pub fn conv_backward_params(
+    backend: KernelBackend,
+    geom: &ConvGeom,
+    x: &[f32],
+    weight: &[f32],
+    grad_out: &[f32],
+    grad_w: &mut [f32],
+    grad_b: &mut [f32],
+) {
+    backward(backend, geom, x, weight, grad_out, (grad_w, grad_b, None));
+}
+
+/// Where a backward pass accumulates: `(grad_w, grad_b, grad_in)`; a `None` input gradient
+/// is not computed.
+type Grads<'a> = (&'a mut [f32], &'a mut [f32], Option<&'a mut [f32]>);
+
+fn backward(
+    backend: KernelBackend,
+    geom: &ConvGeom,
+    x: &[f32],
+    weight: &[f32],
+    grad_out: &[f32],
+    grads: Grads<'_>,
+) {
     geom.validate(x.len(), weight.len());
     assert_eq!(
         grad_out.len(),
@@ -197,26 +231,19 @@ pub fn conv_backward(
         "conv_backward: grad_out length mismatch"
     );
     assert_eq!(
-        grad_w.len(),
+        grads.0.len(),
         weight.len(),
         "conv_backward: grad_w length mismatch"
     );
     assert_eq!(
-        grad_b.len(),
+        grads.1.len(),
         geom.c_out,
         "conv_backward: grad_b length mismatch"
     );
-    // Zeroed checkout: both backends accumulate into grad_in via `+=`.
-    let mut grad_in = crate::pool::take_zeroed::<f32>(x.len());
     match backend {
-        KernelBackend::Naive => {
-            backward_naive(geom, x, weight, grad_out, grad_w, grad_b, &mut grad_in)
-        }
-        KernelBackend::Blocked => {
-            backward_blocked(geom, x, weight, grad_out, grad_w, grad_b, &mut grad_in)
-        }
+        KernelBackend::Naive => backward_naive(geom, x, weight, grad_out, grads),
+        KernelBackend::Blocked => backward_blocked(geom, x, weight, grad_out, grads),
     }
-    grad_in
 }
 
 // ---------------------------------------------------------------------------
@@ -268,15 +295,12 @@ fn forward_naive(geom: &ConvGeom, x: &[f32], weight: &[f32], out: &mut [f32]) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn backward_naive(
     geom: &ConvGeom,
     x: &[f32],
     weight: &[f32],
     grad_out: &[f32],
-    grad_w: &mut [f32],
-    grad_b: &mut [f32],
-    grad_in: &mut [f32],
+    (grad_w, grad_b, mut grad_in): Grads<'_>,
 ) {
     let (h_out, w_out) = (geom.h_out(), geom.w_out());
     let &ConvGeom {
@@ -315,7 +339,9 @@ fn backward_naive(
                                 let xi = ((ni * c_in + ci) * h + iy as usize) * w + ix as usize;
                                 let wi = ((co * c_in + ci) * kh + ky) * kw + kx;
                                 grad_w[wi] += g * x[xi];
-                                grad_in[xi] += g * weight[wi];
+                                if let Some(grad_in) = grad_in.as_deref_mut() {
+                                    grad_in[xi] += g * weight[wi];
+                                }
                             }
                         }
                     }
@@ -545,15 +571,12 @@ fn forward_panels<const MR: usize, const NR: usize>(
     crate::pool::recycle(bp);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn backward_blocked(
     geom: &ConvGeom,
     x: &[f32],
     weight: &[f32],
     grad_out: &[f32],
-    grad_w: &mut [f32],
-    grad_b: &mut [f32],
-    grad_in: &mut [f32],
+    (grad_w, grad_b, grad_in): Grads<'_>,
 ) {
     // Bias gradient: fold each output plane in scan order, image by image, matching the
     // naive nest.
@@ -568,22 +591,24 @@ fn backward_blocked(
     with_panel_kernel(Backward(geom, x, weight, grad_out, grad_w, grad_in));
 }
 
-/// The two backward products as a [`PanelOp`]:
-/// `(geom, x, weight, grad_out, grad_w, grad_in)`.
+/// The backward products as a [`PanelOp`]: `(geom, x, weight, grad_out, grad_w, grad_in)`,
+/// the input-gradient product only when there is a `grad_in` to receive it.
 struct Backward<'a>(
     &'a ConvGeom,
     &'a [f32],
     &'a [f32],
     &'a [f32],
     &'a mut [f32],
-    &'a mut [f32],
+    Option<&'a mut [f32]>,
 );
 
 impl PanelOp for Backward<'_> {
     fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
         let Backward(geom, x, weight, grad_out, grad_w, grad_in) = self;
         weight_grad_panels(geom, &pk, x, grad_out, grad_w);
-        input_grad_panels(geom, &pk, weight, grad_out, grad_in);
+        if let Some(grad_in) = grad_in {
+            input_grad_panels(geom, &pk, weight, grad_out, grad_in);
+        }
     }
 }
 
@@ -1035,6 +1060,13 @@ mod tests {
         );
         assert_eq!(gw_n, gw_b, "grad_w mismatch for {geom:?}");
         assert_eq!(gb_n, gb_b, "grad_b mismatch for {geom:?}");
+        // Dropping the input gradient changes neither parameter gradient, on either backend.
+        for backend in [KernelBackend::Naive, KernelBackend::Blocked] {
+            let (mut gw, mut gb) = (vec![0.0; weight.len()], vec![0.0; bias.len()]);
+            conv_backward_params(backend, &geom, &x, &weight, &grad_out, &mut gw, &mut gb);
+            assert_eq!(bits(&gw), bits(&gw_n), "params-only grad_w for {geom:?}");
+            assert_eq!(bits(&gb), bits(&gb_n), "params-only grad_b for {geom:?}");
+        }
         for (i, (a, b)) in gi_n.iter().zip(&gi_b).enumerate() {
             assert!(
                 (a - b).abs() <= 1e-5 * (1.0 + a.abs()),

@@ -154,6 +154,29 @@ pub fn init_bias_planes(out: &mut [f32], bias: &[f32], plane: usize) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// ReLU: the two element-wise passes of `layers::Relu`, here so `kernel_bench` can time
+// and allocation-gate them like every other layer family.
+// ---------------------------------------------------------------------------
+
+/// Clamps `x` to `max(0, x)` in place; `-0.0` and NaN become `+0.0`.
+pub fn relu_in_place(x: &mut [f32]) {
+    for v in x {
+        *v = if *v > 0.0 { *v } else { 0.0 };
+    }
+}
+
+/// ReLU backward: `grad_out` where the forward's output `y` is positive (exactly where
+/// its input was), `0.0` elsewhere, in a pooled buffer.
+pub fn relu_backward(grad_out: &[f32], y: &[f32]) -> Vec<f32> {
+    assert_eq!(grad_out.len(), y.len(), "Relu: gradient length mismatch");
+    let mut grad_in = crate::pool::take_uninit::<f32>(grad_out.len());
+    for ((d, &g), &y) in grad_in.iter_mut().zip(grad_out).zip(y) {
+        *d = if y > 0.0 { g } else { 0.0 };
+    }
+    grad_in
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

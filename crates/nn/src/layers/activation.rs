@@ -1,23 +1,23 @@
 //! Activation layers.
 
 use super::Layer;
+use crate::kernels;
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)`, applied element-wise to any shape.
 ///
-/// The backward mask (`x > 0.0`) is recomputed from a cached copy of the input instead
-/// of being materialised as a `Vec<bool>`: the cached tensor lives in pooled storage, so
-/// steady-state forward/backward touches no heap, and the gradient is bit-identical
-/// (`g` passes exactly where `x > 0.0`, as before).
+/// The forward clamps the buffer it is given. The backward mask is read from the layer's
+/// own output (`y > 0.0` exactly where `x > 0.0`), a pooled copy of which a training
+/// forward keeps — an inference forward keeps nothing.
 #[derive(Default)]
 pub struct Relu {
-    cached_input: Option<Tensor>,
+    cached_output: Option<Tensor>,
 }
 
 impl Relu {
     /// Creates a new ReLU layer.
     pub fn new() -> Self {
-        Self { cached_input: None }
+        Self::default()
     }
 }
 
@@ -26,34 +26,24 @@ impl Layer for Relu {
         "ReLU"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let mut out = crate::pool::take_uninit::<f32>(input.len());
-        for (o, &x) in out.iter_mut().zip(input.data()) {
-            *o = if x > 0.0 { x } else { 0.0 };
-        }
-        self.cached_input = Some(input.clone());
-        Tensor::from_vec(out, input.shape())
+    fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
+        let mut output = input;
+        kernels::relu_in_place(output.data_mut());
+        self.cached_output = train.then(|| output.clone());
+        output
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
+        let output = self
+            .cached_output
             .take()
             .expect("Relu::backward called without a cached forward pass");
-        assert_eq!(
-            input.len(),
-            grad_output.len(),
-            "Relu: gradient length mismatch"
-        );
-        let mut data = crate::pool::take_uninit::<f32>(grad_output.len());
-        for ((o, &g), &x) in data.iter_mut().zip(grad_output.data()).zip(input.data()) {
-            *o = if x > 0.0 { g } else { 0.0 };
-        }
-        Tensor::from_vec(data, grad_output.shape())
+        let grad_in = kernels::relu_backward(grad_output.data(), output.data());
+        Tensor::from_vec(grad_in, grad_output.shape())
     }
 
     fn reset_cache(&mut self) {
-        self.cached_input = None;
+        self.cached_output = None;
     }
 }
 
@@ -66,7 +56,7 @@ mod tests {
     fn forward_clamps_negatives() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.5], &[1, 3]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward(x, true);
         assert_eq!(y.data(), &[0.0, 0.0, 2.5]);
     }
 
@@ -74,7 +64,7 @@ mod tests {
     fn backward_masks_gradient() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 3.0, -0.5, 4.0], &[2, 2]);
-        let _ = relu.forward(&x, true);
+        let _ = relu.forward(x, true);
         let g = relu.backward(&Tensor::ones(&[2, 2]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
     }

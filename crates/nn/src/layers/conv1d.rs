@@ -50,6 +50,26 @@ impl Conv1d {
         }
     }
 
+    /// Geometry of this layer applied to a checked `[N, C, L]` input.
+    fn geom(&self, input: &Tensor) -> ConvGeom {
+        let shape = input.shape();
+        ConvGeom::conv1d(
+            shape[0],
+            shape[1],
+            shape[2],
+            self.out_channels,
+            self.kernel,
+            self.stride,
+            self.padding,
+        )
+    }
+
+    fn take_cached_input(&mut self) -> Tensor {
+        self.cached_input
+            .take()
+            .expect("Conv1d::backward called without a cached forward pass")
+    }
+
     /// Output length for a given input length.
     pub fn output_len(&self, input: usize) -> usize {
         (input + 2 * self.padding - self.kernel) / self.stride + 1
@@ -61,23 +81,14 @@ impl Layer for Conv1d {
         "Conv1d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         assert_eq!(input.shape().len(), 3, "Conv1d: input must be [N, C, L]");
         assert_eq!(
             input.shape()[1],
             self.in_channels,
             "Conv1d: channel mismatch"
         );
-        let (n, c_in, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let geom = ConvGeom::conv1d(
-            n,
-            c_in,
-            l,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
+        let geom = self.geom(&input);
         let out = kernels::conv::conv_forward(
             kernels::default_backend(),
             &geom,
@@ -85,39 +96,37 @@ impl Layer for Conv1d {
             self.weight.value.data(),
             self.bias.value.data(),
         );
-        self.cached_input = Some(input.clone());
-        Tensor::from_vec(out, &[n, self.out_channels, geom.w_out()])
+        let shape = [geom.n, self.out_channels, geom.w_out()];
+        self.cached_input = train.then_some(input);
+        Tensor::from_vec(out, &shape)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Conv1d::backward called without a cached forward pass");
-        let (n, c_in, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let geom = ConvGeom::conv1d(
-            n,
-            c_in,
-            l,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
-        let Param {
-            value: weight,
-            grad: weight_grad,
-        } = &mut self.weight;
+        let input = self.take_cached_input();
+        let geom = self.geom(&input);
         let grad_in = kernels::conv::conv_backward(
             kernels::default_backend(),
             &geom,
             input.data(),
-            weight.data(),
+            self.weight.value.data(),
             grad_output.data(),
-            weight_grad.data_mut(),
+            self.weight.grad.data_mut(),
             self.bias.grad.data_mut(),
         );
         Tensor::from_vec(grad_in, input.shape())
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let input = self.take_cached_input();
+        kernels::conv::conv_backward_params(
+            kernels::default_backend(),
+            &self.geom(&input),
+            input.data(),
+            self.weight.value.data(),
+            grad_output.data(),
+            self.weight.grad.data_mut(),
+            self.bias.grad.data_mut(),
+        );
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -148,11 +157,11 @@ mod tests {
         let mut rng = seeded(0);
         let mut conv = Conv1d::new(&mut rng, 2, 4, 3, 1, 1);
         let x = Tensor::zeros(&[3, 2, 16]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(x.clone(), true);
         assert_eq!(y.shape(), &[3, 4, 16]);
 
         let mut strided = Conv1d::new(&mut rng, 2, 4, 3, 2, 0);
-        let y2 = strided.forward(&x, true);
+        let y2 = strided.forward(x.clone(), true);
         assert_eq!(y2.shape(), &[3, 4, 7]);
     }
 
@@ -163,7 +172,7 @@ mod tests {
         conv.weight.value.data_mut().copy_from_slice(&[1.0, 1.0]);
         conv.bias.value.fill_zero();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 4]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(x.clone(), true);
         assert_eq!(y.data(), &[3.0, 5.0, 7.0]);
     }
 

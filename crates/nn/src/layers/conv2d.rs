@@ -61,6 +61,27 @@ impl Conv2d {
         self.out_channels
     }
 
+    /// Geometry of this layer applied to a checked `[N, C, H, W]` input.
+    fn geom(&self, input: &Tensor) -> ConvGeom {
+        let shape = input.shape();
+        ConvGeom::conv2d(
+            shape[0],
+            shape[1],
+            shape[2],
+            shape[3],
+            self.out_channels,
+            self.kernel,
+            self.stride,
+            self.padding,
+        )
+    }
+
+    fn take_cached_input(&mut self) -> Tensor {
+        self.cached_input
+            .take()
+            .expect("Conv2d::backward called without a cached forward pass")
+    }
+
     fn check_input(&self, input: &Tensor) {
         assert_eq!(input.shape().len(), 4, "Conv2d: input must be [N, C, H, W]");
         assert_eq!(
@@ -81,24 +102,9 @@ impl Layer for Conv2d {
         "Conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.check_input(input);
-        let (n, c_in, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let geom = ConvGeom::conv2d(
-            n,
-            c_in,
-            h,
-            w,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
+    fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
+        self.check_input(&input);
+        let geom = self.geom(&input);
         let out = kernels::conv::conv_forward(
             kernels::default_backend(),
             &geom,
@@ -106,45 +112,37 @@ impl Layer for Conv2d {
             self.weight.value.data(),
             self.bias.value.data(),
         );
-        self.cached_input = Some(input.clone());
-        Tensor::from_vec(out, &[n, self.out_channels, geom.h_out(), geom.w_out()])
+        let shape = [geom.n, self.out_channels, geom.h_out(), geom.w_out()];
+        self.cached_input = train.then_some(input);
+        Tensor::from_vec(out, &shape)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Conv2d::backward called without a cached forward pass");
-        let (n, c_in, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let geom = ConvGeom::conv2d(
-            n,
-            c_in,
-            h,
-            w,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
-        let Param {
-            value: weight,
-            grad: weight_grad,
-        } = &mut self.weight;
+        let input = self.take_cached_input();
+        let geom = self.geom(&input);
         let grad_in = kernels::conv::conv_backward(
             kernels::default_backend(),
             &geom,
             input.data(),
-            weight.data(),
+            self.weight.value.data(),
             grad_output.data(),
-            weight_grad.data_mut(),
+            self.weight.grad.data_mut(),
             self.bias.grad.data_mut(),
         );
         Tensor::from_vec(grad_in, input.shape())
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let input = self.take_cached_input();
+        kernels::conv::conv_backward_params(
+            kernels::default_backend(),
+            &self.geom(&input),
+            input.data(),
+            self.weight.value.data(),
+            grad_output.data(),
+            self.weight.grad.data_mut(),
+            self.bias.grad.data_mut(),
+        );
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -175,11 +173,11 @@ mod tests {
         let mut rng = seeded(0);
         let mut conv = Conv2d::new(&mut rng, 3, 8, 3, 1, 1);
         let x = Tensor::zeros(&[2, 3, 8, 8]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(x.clone(), true);
         assert_eq!(y.shape(), &[2, 8, 8, 8]);
 
         let mut strided = Conv2d::new(&mut rng, 3, 4, 3, 2, 0);
-        let y2 = strided.forward(&x, true);
+        let y2 = strided.forward(x.clone(), true);
         assert_eq!(y2.shape(), &[2, 4, 3, 3]);
     }
 
@@ -194,7 +192,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
             &[1, 1, 3, 3],
         );
-        let y = conv.forward(&x, true);
+        let y = conv.forward(x.clone(), true);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[12.0, 16.0, 24.0, 28.0]);
     }
@@ -213,7 +211,7 @@ mod tests {
         let mut conv = Conv2d::new(&mut rng, 1, 2, 2, 1, 0);
         let x = init::kaiming_normal(&mut rng, &[2, 1, 3, 3], 3);
 
-        let y = conv.forward(&x, true);
+        let y = conv.forward(x.clone(), true);
         conv.backward(&Tensor::ones(y.shape()));
         let analytic = conv.weight.grad.clone();
 
@@ -221,9 +219,9 @@ mod tests {
         for idx in 0..conv.weight.value.len() {
             let orig = conv.weight.value.data()[idx];
             conv.weight.value.data_mut()[idx] = orig + eps;
-            let f_plus = conv.forward(&x, true).sum();
+            let f_plus = conv.forward(x.clone(), true).sum();
             conv.weight.value.data_mut()[idx] = orig - eps;
-            let f_minus = conv.forward(&x, true).sum();
+            let f_minus = conv.forward(x.clone(), true).sum();
             conv.weight.value.data_mut()[idx] = orig;
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let a = analytic.data()[idx];
@@ -240,6 +238,6 @@ mod tests {
         let mut rng = seeded(4);
         let mut conv = Conv2d::new(&mut rng, 3, 4, 3, 1, 1);
         let x = Tensor::zeros(&[1, 2, 8, 8]);
-        let _ = conv.forward(&x, true);
+        let _ = conv.forward(x.clone(), true);
     }
 }

@@ -36,15 +36,15 @@ impl Layer for Dropout {
         "Dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        self.reset_cache();
         if !train || self.p == 0.0 {
-            self.mask = None;
-            return input.clone();
+            return input;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        // Pooled mask and output; the RNG consumes one draw per element in the same
-        // order as before, so trajectories are unchanged.
+        // Pooled mask, applied to the owned input in place; the RNG consumes one draw
+        // per element in element order, which is what keeps trajectories fixed.
         let mut mask = crate::pool::take_uninit::<f32>(input.len());
         for m in mask.iter_mut() {
             *m = if self.rng.gen::<f32>() < keep {
@@ -53,12 +53,11 @@ impl Layer for Dropout {
                 0.0
             };
         }
-        let mut data = crate::pool::take_uninit::<f32>(input.len());
-        for ((o, x), m) in data.iter_mut().zip(input.data()).zip(&mask) {
-            *o = x * m;
+        for (x, m) in input.data_mut().iter_mut().zip(&mask) {
+            *x *= m;
         }
         self.mask = Some(mask);
-        Tensor::from_vec(data, input.shape())
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -71,7 +70,7 @@ impl Layer for Dropout {
                 crate::pool::recycle(mask);
                 Tensor::from_vec(data, grad_output.shape())
             }
-            // Evaluation mode (or p == 0): identity.
+            // No mask was drawn (p == 0): the forward was the identity.
             None => grad_output.clone(),
         }
     }
@@ -88,11 +87,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_mode_is_identity() {
+    fn eval_mode_is_identity_and_clears_the_mask() {
         let mut layer = Dropout::new(0.5, 0);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let y = layer.forward(&x, false);
+        let _ = layer.forward(x.clone(), true);
+        assert!(layer.mask.is_some());
+        let y = layer.forward(x.clone(), false);
         assert_eq!(y, x);
+        assert!(layer.mask.is_none());
+    }
+
+    #[test]
+    fn zero_probability_is_the_identity_both_ways() {
+        let mut layer = Dropout::new(0.0, 0);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        assert_eq!(layer.forward(x.clone(), true), x);
         let g = layer.backward(&Tensor::ones(&[2, 2]));
         assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
@@ -101,7 +110,7 @@ mod tests {
     fn training_preserves_expectation_roughly() {
         let mut layer = Dropout::new(0.5, 7);
         let x = Tensor::ones(&[1, 4096]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x, true);
         // Inverted dropout keeps E[y] = E[x]; with 4096 samples the mean stays near 1.
         assert!((y.mean() - 1.0).abs() < 0.1, "mean {} drifted", y.mean());
     }
@@ -110,7 +119,7 @@ mod tests {
     fn backward_uses_same_mask_as_forward() {
         let mut layer = Dropout::new(0.3, 11);
         let x = Tensor::ones(&[1, 64]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x, true);
         let g = layer.backward(&Tensor::ones(&[1, 64]));
         // The gradient is zero exactly where the output was zero.
         for (yo, go) in y.data().iter().zip(g.data()) {

@@ -27,18 +27,20 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         assert!(
             input.shape().len() >= 2,
             "Flatten: input must have a batch dimension"
         );
-        let mut shape = std::mem::take(&mut self.shape_spare);
-        shape.clear();
-        shape.extend_from_slice(input.shape());
-        self.input_shape = Some(shape);
+        self.input_shape = train.then(|| {
+            let mut shape = std::mem::take(&mut self.shape_spare);
+            shape.clear();
+            shape.extend_from_slice(input.shape());
+            shape
+        });
         let batch = input.batch();
         let features = input.per_item();
-        input.reshape(&[batch, features])
+        input.into_shape(&[batch, features])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -64,7 +66,7 @@ mod tests {
     fn flatten_and_restore() {
         let mut layer = Flatten::new();
         let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x.clone(), true);
         assert_eq!(y.shape(), &[2, 12]);
         let g = layer.backward(&y);
         assert_eq!(g.shape(), &[2, 3, 2, 2]);
@@ -75,7 +77,7 @@ mod tests {
     fn already_flat_input_is_unchanged() {
         let mut layer = Flatten::new();
         let x = Tensor::ones(&[4, 7]);
-        let y = layer.forward(&x, false);
+        let y = layer.forward(x, false);
         assert_eq!(y.shape(), &[4, 7]);
     }
 }

@@ -38,6 +38,37 @@ impl Linear {
         }
     }
 
+    /// The parameter half of the backward pass; consumes the cached input.
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Linear::backward called without a cached forward pass");
+        assert_eq!(
+            grad_output.shape()[1],
+            self.out_features,
+            "Linear: grad dim mismatch"
+        );
+        // dL/dW = grad_output^T @ input       -> [out, in]
+        // dL/db = sum_rows(grad_output)        -> [out]
+        let batch = input.shape()[0];
+        let mut grad_w = crate::pool::take_zeroed::<f32>(self.out_features * self.in_features);
+        kernels::gemm_tn(
+            kernels::default_backend(),
+            self.out_features,
+            self.in_features,
+            batch,
+            grad_output.data(),
+            input.data(),
+            &mut grad_w,
+            Epilogue::None,
+        );
+        self.weight
+            .grad
+            .add_assign(&Tensor::from_vec(grad_w, self.weight.value.shape()));
+        self.bias.grad.add_assign(&grad_output.sum_rows());
+    }
+
     /// Input feature dimension.
     pub fn in_features(&self) -> usize {
         self.in_features
@@ -54,14 +85,13 @@ impl Layer for Linear {
         "Linear"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         assert_eq!(input.shape().len(), 2, "Linear: input must be 2-D");
         assert_eq!(
             input.shape()[1],
             self.in_features,
             "Linear: feature dim mismatch"
         );
-        self.cached_input = Some(input.clone());
         // y = x W^T + b, straight through the GEMM kernels (no transposed copy of W) with
         // the bias broadcast as a fused epilogue.
         let batch = input.shape()[0];
@@ -76,43 +106,17 @@ impl Layer for Linear {
             &mut out,
             Epilogue::BiasRow(self.bias.value.data()),
         );
+        self.cached_input = train.then_some(input);
         Tensor::from_vec(out, &[batch, self.out_features])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Linear::backward called without a cached forward pass");
-        assert_eq!(
-            grad_output.shape()[1],
-            self.out_features,
-            "Linear: grad dim mismatch"
-        );
-
-        // dL/dW = grad_output^T @ input       -> [out, in]
-        // dL/db = sum_rows(grad_output)        -> [out]
+        self.accumulate_param_grads(grad_output);
         // dL/dx = grad_output @ W              -> [batch, in]
-        let backend = kernels::default_backend();
-        let batch = input.shape()[0];
-        let mut grad_w = crate::pool::take_zeroed::<f32>(self.out_features * self.in_features);
-        kernels::gemm_tn(
-            backend,
-            self.out_features,
-            self.in_features,
-            batch,
-            grad_output.data(),
-            input.data(),
-            &mut grad_w,
-            Epilogue::None,
-        );
-        self.weight
-            .grad
-            .add_assign(&Tensor::from_vec(grad_w, self.weight.value.shape()));
-        self.bias.grad.add_assign(&grad_output.sum_rows());
+        let batch = grad_output.shape()[0];
         let mut grad_in = crate::pool::take_zeroed::<f32>(batch * self.in_features);
         kernels::gemm_nn(
-            backend,
+            kernels::default_backend(),
             batch,
             self.in_features,
             self.out_features,
@@ -122,6 +126,10 @@ impl Layer for Linear {
             Epilogue::None,
         );
         Tensor::from_vec(grad_in, &[batch, self.in_features])
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.accumulate_param_grads(grad_output);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -159,7 +167,7 @@ mod tests {
             .data_mut()
             .copy_from_slice(&[1.0, 2.0, 3.0]);
         let x = Tensor::ones(&[2, 4]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x.clone(), true);
         assert_eq!(y.shape(), &[2, 3]);
         assert_eq!(y.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     }
@@ -178,7 +186,7 @@ mod tests {
         let mut layer = Linear::new(&mut rng, 3, 2);
         let x = init::kaiming_normal(&mut rng, &[2, 3], 3);
 
-        let out = layer.forward(&x, true);
+        let out = layer.forward(x.clone(), true);
         let grad_out = Tensor::ones(out.shape());
         layer.backward(&grad_out);
         let analytic = layer.weight.grad.clone();
@@ -187,9 +195,9 @@ mod tests {
         for idx in 0..layer.weight.value.len() {
             let orig = layer.weight.value.data()[idx];
             layer.weight.value.data_mut()[idx] = orig + eps;
-            let f_plus = layer.forward(&x, true).sum();
+            let f_plus = layer.forward(x.clone(), true).sum();
             layer.weight.value.data_mut()[idx] = orig - eps;
-            let f_minus = layer.forward(&x, true).sum();
+            let f_minus = layer.forward(x.clone(), true).sum();
             layer.weight.value.data_mut()[idx] = orig;
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let a = analytic.data()[idx];
@@ -206,7 +214,7 @@ mod tests {
         let mut layer = Linear::new(&mut rng, 2, 2);
         let x = Tensor::ones(&[1, 2]);
         for _ in 0..2 {
-            let y = layer.forward(&x, true);
+            let y = layer.forward(x.clone(), true);
             layer.backward(&Tensor::ones(y.shape()));
         }
         let accumulated = layer.bias.grad.clone();

@@ -1,9 +1,15 @@
 //! Feed-forward layers with exact manual backward passes.
 //!
-//! Each layer implements the [`Layer`] trait: `forward` caches whatever it needs for the
-//! backward pass, `backward` consumes the gradient of the loss with respect to the layer's
-//! output and returns the gradient with respect to its input, accumulating parameter
-//! gradients into the layer's [`Param`]s along the way.
+//! Each layer implements the [`Layer`] trait. `forward` consumes its input: the caller
+//! ([`crate::Sequential`]) owns every intermediate activation and hands it over, so a layer
+//! that needs its input for the backward pass keeps the tensor it was given instead of a
+//! copy, and a layer that maps element to element works in the buffer it received. Only a
+//! *training* forward (`train = true`) caches anything; an inference forward computes the
+//! output and nothing else, so no backward can follow it. `backward` consumes the gradient
+//! of the loss with respect to the layer's output together with that cache and returns
+//! the gradient with respect to the layer's input, accumulating parameter gradients into
+//! the layer's [`Param`]s along the way; `backward_params` is the same pass for a layer
+//! whose input gradient nobody reads (the first layer of a model).
 //!
 //! The trait is object-safe so that models can be built as `Vec<Box<dyn Layer>>` and split
 //! at an arbitrary layer index — the core requirement of split federated learning.
@@ -63,18 +69,28 @@ pub trait Layer: Send {
     /// Human-readable layer name (used in model summaries and error messages).
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output for `input`.
+    /// Computes the layer output, consuming `input`.
     ///
-    /// `train` selects training-time behaviour (e.g. dropout masks are only sampled when
-    /// `train` is true). Implementations cache activations needed by [`Layer::backward`].
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// With `train = true` the layer keeps what [`Layer::backward`] will need — the input
+    /// itself (moved, never copied), an argmax, a mask — and applies training-time
+    /// behaviour (dropout samples a mask). With `train = false` it keeps nothing and drops
+    /// whatever an earlier training forward left behind: the pass costs the output and
+    /// no more, and a `backward` after it panics ("called without a cached forward pass").
+    fn forward(&mut self, input: Tensor, train: bool) -> Tensor;
 
     /// Computes the gradient with respect to the layer input given the gradient with
     /// respect to the layer output, accumulating parameter gradients.
     ///
-    /// Must be called after a corresponding `forward` with `train = true` semantics; the
-    /// cached activations of that forward pass are consumed.
+    /// Must follow a `forward` with `train = true`, whose cache it consumes; panics
+    /// otherwise.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] for a layer whose input gradient is dead: accumulates the same
+    /// parameter gradients, bit for bit, and consumes the same cache. Layers whose input
+    /// gradient is a product of its own (convolutions, `Linear`) override this to skip it.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
 
     /// Immutable access to this layer's parameters (may be empty).
     fn params(&self) -> Vec<&Param> {
@@ -102,7 +118,7 @@ pub trait Layer: Send {
 #[cfg(test)]
 pub(crate) fn check_input_gradient<L: Layer>(layer: &mut L, input: &Tensor, eps: f32, tol: f32) {
     // Loss = sum(output), so dLoss/dOutput = ones.
-    let out = layer.forward(input, true);
+    let out = layer.forward(input.clone(), true);
     let grad_out = Tensor::ones(out.shape());
     let grad_in = layer.backward(&grad_out);
     assert_eq!(grad_in.shape(), input.shape());
@@ -112,8 +128,8 @@ pub(crate) fn check_input_gradient<L: Layer>(layer: &mut L, input: &Tensor, eps:
         plus.data_mut()[idx] += eps;
         let mut minus = input.clone();
         minus.data_mut()[idx] -= eps;
-        let f_plus = layer.forward(&plus, true).sum();
-        let f_minus = layer.forward(&minus, true).sum();
+        let f_plus = layer.forward(plus, true).sum();
+        let f_minus = layer.forward(minus, true).sum();
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         let analytic = grad_in.data()[idx];
         assert!(

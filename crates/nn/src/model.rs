@@ -57,11 +57,13 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Runs a forward pass through every layer.
+    /// Runs a forward pass through every layer: the input is copied once and every
+    /// intermediate is handed to the next layer by value. Only a `train` pass leaves the
+    /// caches [`Self::backward`] consumes; an inference pass clears them.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            x = layer.forward(x, train);
         }
         x
     }
@@ -79,6 +81,21 @@ impl Sequential {
             g = layer.backward(&g);
         }
         g
+    }
+
+    /// [`Self::backward`] for a model whose input gradient nobody reads (a worker's bottom
+    /// model, a full model in local training): the same parameter gradients, without the
+    /// first layer's input-gradient product.
+    pub fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        // The last layer borrows the caller's gradient, as in `backward`.
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_output));
     }
 
     /// Clears all parameter gradients.
@@ -218,8 +235,10 @@ pub fn weighted_average_states(states: &[Vec<f32>], weights: &[f32]) -> Vec<f32>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::KernelBackend;
     use crate::layers::{Linear, Relu};
     use crate::rng::seeded;
+    use crate::zoo::{self, Architecture};
 
     fn tiny_mlp(seed: u64) -> Sequential {
         let mut rng = seeded(seed);
@@ -273,6 +292,132 @@ mod tests {
         let features = bottom.forward(&x, false);
         let y_split = top.forward(&features, false);
         assert_eq!(y_full.data(), y_split.data());
+    }
+
+    /// The message `model.backward(grad)` panics with, if it does.
+    fn backward_panic(model: &mut Sequential, grad: &Tensor) -> Option<String> {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.backward(grad);
+        }));
+        let payload = outcome.err()?;
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        Some(message.unwrap_or_default())
+    }
+
+    /// A zoo model taken apart into one-layer models, in order, with a deterministic
+    /// non-constant input batch.
+    fn zoo_layers(arch: Architecture, seed: u64) -> (Vec<Sequential>, Tensor) {
+        let spec = zoo::build(arch, 7, seed);
+        let mut shape = vec![5];
+        shape.extend_from_slice(&spec.input_shape);
+        let len: usize = shape.iter().product();
+        let x = Tensor::from_vec((0..len).map(|i| (i as f32 * 0.37).sin()).collect(), &shape);
+        let mut layers = Vec::new();
+        let mut rest = spec.model;
+        while !rest.is_empty() {
+            let (first, tail) = rest.split_at(1);
+            layers.push(first);
+            rest = tail;
+        }
+        (layers, x)
+    }
+
+    #[test]
+    fn inference_forward_caches_nothing_and_clears_a_training_cache() {
+        const NO_CACHE: &str = "called without a cached forward pass";
+        for arch in Architecture::all() {
+            let (layers, mut x) = zoo_layers(arch, 5);
+            for mut layer in layers {
+                let name = layer.layer_names()[0];
+                // Dropout draws no mask outside training, and its backward is then the
+                // identity rather than an error.
+                let expect_panic = name != "Dropout";
+                let y = layer.forward(&x, false);
+                let grad = Tensor::ones(y.shape());
+                let after_inference = backward_panic(&mut layer, &grad);
+                assert_eq!(after_inference.is_some(), expect_panic, "{arch:?} {name}");
+                if let Some(message) = after_inference {
+                    assert!(message.contains(NO_CACHE), "{arch:?} {name}: {message}");
+                }
+                // A training forward is followed by a backward; one overwritten by an
+                // inference forward is not.
+                layer.forward(&x, true);
+                assert_eq!(backward_panic(&mut layer, &grad), None, "{arch:?} {name}");
+                layer.forward(&x, true);
+                layer.forward(&x, false);
+                let stale = backward_panic(&mut layer, &grad);
+                assert_eq!(stale.is_some(), expect_panic, "{arch:?} {name}");
+                x = y;
+            }
+        }
+        let mut model = tiny_mlp(6);
+        model.forward(&Tensor::ones(&[2, 4]), false);
+        let message = backward_panic(&mut model, &Tensor::ones(&[2, 3])).expect("no cache");
+        assert!(message.contains(NO_CACHE), "{message}");
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The owned hand-off changes where activations live, never what they hold: a training
+    /// pass through `Sequential` equals, bit for bit, the same layers driven one at a time
+    /// on borrowed (hence copied) inputs; and the params-only backward accumulates exactly
+    /// the parameter gradients of the full one.
+    #[test]
+    fn pipeline_matches_layer_by_layer_and_params_only_backward_matches_full() {
+        let _guard = crate::kernels::runtime::override_lock();
+        let before = crate::kernels::default_backend();
+        for backend in [KernelBackend::Blocked, KernelBackend::Naive] {
+            crate::kernels::set_default_backend(backend);
+            for arch in Architecture::all() {
+                let ctx = format!("{arch:?} on {}", backend.name());
+                let (mut layers, x) = zoo_layers(arch, 8);
+                let mut acts = vec![x.clone()];
+                for layer in &mut layers {
+                    let y = layer.forward(acts.last().expect("seeded with the input"), true);
+                    acts.push(y);
+                }
+                let logits = acts.pop().expect("at least the input");
+                let grad_logits = Tensor::from_vec(
+                    (0..logits.len()).map(|i| (i as f32 * 0.11).cos()).collect(),
+                    logits.shape(),
+                );
+                let mut grad = grad_logits.clone();
+                for layer in layers.iter_mut().rev() {
+                    grad = layer.backward(&grad);
+                }
+                let mut grads: Vec<f32> = Vec::new();
+                for layer in &layers {
+                    grads.extend(layer.grad_state());
+                }
+
+                let mut full = zoo::build(arch, 7, 8).model;
+                assert_eq!(
+                    bits(full.forward(&x, true).data()),
+                    bits(logits.data()),
+                    "{ctx}"
+                );
+                let grad_in = full.backward(&grad_logits);
+                assert_eq!(bits(grad_in.data()), bits(grad.data()), "input grad: {ctx}");
+                assert_eq!(bits(&full.grad_state()), bits(&grads), "param grads: {ctx}");
+
+                let mut lean = zoo::build(arch, 7, 8).model;
+                assert_eq!(
+                    bits(lean.forward(&x, true).data()),
+                    bits(logits.data()),
+                    "{ctx}"
+                );
+                lean.backward_params(&grad_logits);
+                assert_eq!(bits(&lean.grad_state()), bits(&grads), "params-only: {ctx}");
+                // The pass consumed every cache, the first layer's included.
+                assert!(backward_panic(&mut lean, &grad_logits).is_some(), "{ctx}");
+            }
+        }
+        crate::kernels::set_default_backend(before);
     }
 
     #[test]

@@ -137,6 +137,21 @@ impl Tensor {
         }
     }
 
+    /// [`Tensor::reshape`] of an owned tensor: the same buffer under a new shape, no copy.
+    pub fn into_shape(mut self, shape: &[usize]) -> Self {
+        let expected: usize = shape.iter().product();
+        assert_eq!(
+            self.data.len(),
+            expected,
+            "cannot reshape {:?} to {:?}",
+            self.shape,
+            shape
+        );
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self
+    }
+
     /// Element access for a 2-D tensor.
     pub fn at2(&self, i: usize, j: usize) -> f32 {
         debug_assert_eq!(self.shape.len(), 2);

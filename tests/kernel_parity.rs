@@ -229,7 +229,7 @@ fn linear_layer_matches_manual_naive_computation() {
     let mut rng = seeded(99);
     let mut layer = Linear::new(&mut rng, 6, 5);
     let x = Tensor::from_vec((0..18).map(|i| (i as f32 * 0.31).cos()).collect(), &[3, 6]);
-    let y = layer.forward(&x, true);
+    let y = layer.forward(x.clone(), true);
 
     // Manual y = x W^T + b through the naive backend primitives.
     let w = layer.params()[0].value.clone();

@@ -20,11 +20,13 @@ fn split_training_step_equals_monolithic_step_for_every_architecture() {
         let (train, _) = synth::generate_default(&spec, 9);
         let (x, y) = train.batch(&(0..8).collect::<Vec<_>>());
 
-        // Monolithic SGD step. Dropout layers make AlexNet/VGG stochastic in training mode,
-        // so evaluate the equivalence with train = false activations and a manual backward.
+        // Monolithic SGD step. Dropout makes AlexNet/VGG stochastic in training mode, but
+        // both models are built from the same seed, so their Dropout layers draw the same
+        // masks and the two steps stay comparable (an inference forward caches nothing,
+        // so no backward could follow it).
         let mut full = zoo::build(arch, spec.num_classes, 31).model;
         full.zero_grad();
-        let logits = full.forward(&x, false);
+        let logits = full.forward(&x, true);
         let out = loss_fn.forward(&logits, &y);
         full.backward(&out.grad);
         Sgd::plain(0.05).step(&mut full);
@@ -32,8 +34,8 @@ fn split_training_step_equals_monolithic_step_for_every_architecture() {
         // Split step with the same data.
         let mut split = zoo::build(arch, spec.num_classes, 31).into_split();
         split.zero_grad();
-        let feats = split.forward_bottom(&x, false);
-        let logits_s = split.forward_top(&feats, false);
+        let feats = split.forward_bottom(&x, true);
+        let logits_s = split.forward_top(&feats, true);
         let out_s = loss_fn.forward(&logits_s, &y);
         let grad_feats = split.backward_top(&out_s.grad);
         split.backward_bottom(&grad_feats);
@@ -70,7 +72,7 @@ fn merged_batch_gradient_matches_large_batch_gradient() {
 
     let idx: Vec<usize> = (0..12).collect();
     let (x, y) = train.batch(&idx);
-    let feats = split.forward_bottom(&x, false);
+    let feats = split.forward_bottom(&x, true);
 
     // Split the features into three fake worker uploads, merge them back, and compare.
     let parts = feats.split_batch(&[4, 4, 4]);
@@ -83,7 +85,7 @@ fn merged_batch_gradient_matches_large_batch_gradient() {
     assert_eq!(merged.features.data(), feats.data());
     assert_eq!(merged.labels, y);
 
-    let logits = split.forward_top(&merged.features, false);
+    let logits = split.forward_top(&merged.features, true);
     let out = loss_fn.forward(&logits, &merged.labels);
     let grad = split.backward_top(&out.grad);
     let dispatched = dispatch_gradients(&merged, &grad);
