@@ -286,7 +286,7 @@ fn zoo() -> Vec<Entry> {
     ];
     // Every other convolution stage of the zoo (the entries above predate this table and
     // keep their names: `calibrate` and the committed trajectory refer to them). The
-    // short-run stages (4x4 planes and below) are where panel packing amortises least.
+    // small-plane stages (4x4 and below) are where the per-call staging amortises least.
     entries.extend(conv_stage!("conv2d_cnnh_c1", |b| ConvGeom::conv2d(
         b, 1, 12, 12, 6, 3, 1, 1
     )));
@@ -310,6 +310,25 @@ fn zoo() -> Vec<Entry> {
     )));
     entries.extend(conv_stage!("conv1d_cnns_c2", |b| ConvGeom::conv1d(
         b, 8, 32, 12, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_cnnh_c2", |b| ConvGeom::conv2d(
+        b, 6, 6, 6, 12, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_cnnh_c3", |b| ConvGeom::conv2d(
+        b, 12, 3, 3, 12, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv1d_cnns_c3", |b| ConvGeom::conv1d(
+        b, 12, 16, 16, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv1d_cnns_c4", |b| ConvGeom::conv1d(
+        b, 16, 8, 16, 3, 1, 1
+    )));
+    // The lane-starved stems (`c_out = 8` fills half of a 16-lane tile).
+    entries.extend(conv_stage!("conv2d_vgg_c1", |b| ConvGeom::conv2d(
+        b, 3, 8, 8, 8, 3, 1, 1
+    )));
+    entries.extend(conv_stage!("conv2d_alexnet_c1", |b| ConvGeom::conv2d(
+        b, 3, 16, 16, 8, 3, 1, 1
     )));
     // The other layer families the benchmark's trace reports: each zoo model's first
     // ReLU → max-pool pair at the per-worker batch its workload runs.
@@ -968,7 +987,7 @@ fn main() {
     let threads = rayon::current_num_threads();
     println!("kernel_bench: naive oracle vs blocked kernels ({threads} thread(s))\n");
     println!(
-        "  {:<32} {:>14} {:>12} {:>12} {:>10} {:>12} {:>9} {:>10} {:>10} {:>7}",
+        "  {:<32} {:>20} {:>12} {:>12} {:>9} {:>12} {:>9} {:>10} {:>10} {:>7}",
         "shape",
         "kind",
         "naive",
@@ -981,9 +1000,10 @@ fn main() {
         "idle"
     );
 
-    // Staging columns only apply to packed GEMM cases; everything else shows "-".
-    let fmt_ms = |v: Option<f64>| match v {
-        Some(ns) => format!("{:.2}ms", ns / 1e6),
+    // Staging columns only apply to packed GEMM cases; everything else shows "-". Times
+    // print in microseconds: the short conv stages run in a few of them.
+    let fmt_us = |v: Option<f64>| match v {
+        Some(ns) => format!("{:.1}us", ns / 1e3),
         None => "-".to_string(),
     };
     let fmt_pct = |v: Option<f64>| match v {
@@ -995,16 +1015,16 @@ fn main() {
     for entry in zoo() {
         let r = measure(&entry);
         println!(
-            "  {:<32} {:>14} {:>10.2}ms {:>10.2}ms {:>7.2}ms {:>12.2} {:>8.2}x {:>10} {:>10} {:>7}",
+            "  {:<32} {:>20} {:>10.1}us {:>10.1}us {:>7.1}us {:>12.2} {:>8.2}x {:>10} {:>10} {:>7}",
             r.name,
             r.kind,
-            r.naive_ns / 1e6,
-            r.blocked_ns / 1e6,
-            r.blocked_jitter_ns / 1e6,
+            r.naive_ns / 1e3,
+            r.blocked_ns / 1e3,
+            r.blocked_jitter_ns / 1e3,
             r.gflops(r.blocked_ns),
             r.speedup(),
-            fmt_ms(r.single_ns),
-            fmt_ms(r.double_ns),
+            fmt_us(r.single_ns),
+            fmt_us(r.double_ns),
             fmt_pct(r.stage_idle_pct),
         );
         results.push(r);
@@ -1083,8 +1103,8 @@ fn main() {
             println!("\nperf gate passed: {speedup:.2}x >= {min_speedup:.2}x on {GATE}");
         }
 
-        // Conv gate: the panel drivers must beat the naive nests on every zoo stage, in
-        // both directions — the short-run stages (4x4 planes and below) included.
+        // Conv gate: the blocked products must beat the naive nests on every zoo stage, in
+        // both directions — the small-plane stages (4x4 and below) included.
         let slow: Vec<String> = results
             .iter()
             .filter(|r| r.kind.starts_with("conv") && r.blocked_ns > r.naive_ns)

@@ -1,24 +1,42 @@
-//! Convolution kernels: direct naive loops (oracle) and micro-kernel panel drivers.
+//! Convolution kernels: direct naive loops (oracle) and gathered micro-kernel folds.
 //!
 //! One generalised geometry, [`ConvGeom`], covers both layer types: `Conv2d` maps to a
 //! square kernel over `[n, c_in, h, w]`, and `Conv1d` is the `h = 1, kh = 1` special case
 //! over `[n, c_in, 1, l]`. Both the naive and the blocked path implement **forward and
 //! backward** so either backend can run a whole training step.
 //!
-//! The blocked path never materialises a patch (im2col) matrix. Each of its three
-//! products is one batch-wide panel loop over the global output positions that packs the
-//! micro-kernel's operand panels straight from the NCHW tensors — edge-clipped slices of
-//! input rows, see [`for_each_segment`] — and folds them through the GEMM runtime's
-//! micro-kernel ([`PanelKernel`]). Taps enumerate `(ci, ky, kx)` in the order of the naive
-//! loop nest, padding lanes hold `0.0`, and every fold ascends, so the blocked forward,
-//! weight gradient and bias gradient are bit-identical to the naive oracle on finite
-//! inputs; only the input gradient reassociates its reduction (it sums kernel taps per
-//! output position, the naive nest per output channel) and is verified to a few ULPs by
-//! the property tests — and pinned bit for bit, like the other three, against the im2col
-//! composition this path replaced (kept as a test reference).
+//! The blocked path never materialises a patch (im2col) matrix and never packs a patch
+//! panel either. A call copies its input once into a zero-padded *stage*
+//! `[n, c_in, h + 2·ph, w + 2·pw]` (the input itself when there is no padding) and builds
+//! two offset tables ([`StageTables`]): patch element `(position, tap)` is stage element
+//! `origins[position] + taps[tap]`, padding included. The GEMM runtime's *gathered*
+//! micro-kernel entry ([`PanelKernel::fold_gather`]) reads its broadcast operand through
+//! exactly such a pair of tables, so each product is a plain tile loop around it:
+//!
+//! | product | rows (read in place) | folded over | lanes (packed) | tile |
+//! |---|---|---|---|---|
+//! | forward | positions of the stage | taps, ascending `(ci, ky, kx)` | `c_out`: `W` as `[tap][co]`, once | seeded from the bias, stored to the NCHW planes |
+//! | weight gradient | taps of the stage | positions, in `(ni, oy, ox)` order | `c_out`: `G` position-major, per `kc` block | loaded from and stored back to `grad_w` |
+//! | input gradient | taps of `W` itself | `c_out` (offsets `co·taps`) | positions: rows of `G`, per `NR` positions | from zero, then added tap by tap into a stage of `grad_in` |
+//!
+//! The first two share the stage and swap the roles of its two tables; the third reads the
+//! weight tensor as it lies and meets the stage only when it adds — a tap's lanes land on
+//! consecutive stage elements wherever their origins are consecutive — and the interior of
+//! that stage is the input gradient. A product whose lanes are channels runs on the
+//! narrower register tile when `c_out` would leave half of the wide one empty (see
+//! `runtime::panel_scheme`).
+//!
+//! Taps enumerate `(ci, ky, kx)` in the order of the naive loop nest, padding reads `0.0`,
+//! and every fold ascends, so the blocked forward, weight gradient and bias gradient are
+//! bit-identical to the naive oracle on finite inputs; only the input gradient
+//! reassociates its reduction (it sums kernel taps per output position, the naive nest per
+//! output channel) and is verified to a few ULPs by the property tests — and pinned bit
+//! for bit, like the other three, against the im2col composition this path descends from
+//! (kept as a test reference).
 
-use super::gemm::{pack_a, with_panel_kernel, PanelKernel, PanelOp, Trans, PAR_MIN_FLOPS};
+use super::gemm::{with_panel_kernel, Gather, PanelKernel, PanelOp, PAR_MIN_FLOPS};
 use super::{init_bias_planes, KernelBackend};
+use crate::pool::{recycle, take_uninit, take_zeroed};
 use rayon::prelude::*;
 
 /// Geometry of a (possibly 1-D) convolution.
@@ -123,6 +141,21 @@ impl ConvGeom {
         self.c_in * self.kh * self.kw
     }
 
+    /// Output positions of the whole batch: one per `(ni, oy, ox)`.
+    fn positions(&self) -> usize {
+        self.n * self.h_out() * self.w_out()
+    }
+
+    /// Extent `(hp, wp)` of one zero-padded input plane.
+    fn padded_hw(&self) -> (usize, usize) {
+        (self.h + 2 * self.ph, self.w + 2 * self.pw)
+    }
+
+    /// Whether a zero-padded copy of the input differs from the input at all.
+    fn is_padded(&self) -> bool {
+        self.ph + self.pw > 0
+    }
+
     fn validate(&self, x_len: usize, w_len: usize) {
         assert!(
             self.c_in > 0
@@ -162,16 +195,19 @@ pub fn conv_forward(
 ) -> Vec<f32> {
     geom.validate(x.len(), weight.len());
     assert_eq!(bias.len(), geom.c_out, "conv_forward: bias length mismatch");
-    let plane = geom.h_out() * geom.w_out();
-    // Pooled page, not zeroed: init_bias_planes seeds every element below. Callers adopt
-    // the returned buffer into a pooled Tensor (or recycle it), closing the reuse loop.
-    let mut out = crate::pool::take_uninit::<f32>(geom.n * geom.per_image_out());
-    // Shared epilogue seed: the output starts at the bias and the kernels accumulate on
-    // top, which keeps the naive and blocked accumulation orders identical.
-    init_bias_planes(&mut out, bias, plane);
+    // Pooled page, not zeroed: both backends write every element. Callers adopt the
+    // returned buffer into a pooled Tensor (or recycle it), closing the reuse loop.
+    let mut out = take_uninit::<f32>(geom.n * geom.per_image_out());
+    // Either way an element starts at its bias and accumulates its taps on top, which
+    // keeps the naive and blocked accumulation orders identical.
     match backend {
-        KernelBackend::Naive => forward_naive(geom, x, weight, &mut out),
-        KernelBackend::Blocked => with_panel_kernel(Forward(geom, x, weight, &mut out)),
+        KernelBackend::Naive => {
+            init_bias_planes(&mut out, bias, geom.h_out() * geom.w_out());
+            forward_naive(geom, x, weight, &mut out);
+        }
+        KernelBackend::Blocked => {
+            with_panel_kernel(geom.c_out, Forward(geom, x, weight, bias, &mut out))
+        }
     }
     out
 }
@@ -190,8 +226,8 @@ pub fn conv_backward(
     grad_w: &mut [f32],
     grad_b: &mut [f32],
 ) -> Vec<f32> {
-    // Zeroed checkout: both backends accumulate into grad_in via `+=`.
-    let mut grad_in = crate::pool::take_zeroed::<f32>(x.len());
+    // Not zeroed: both backends write the whole input gradient.
+    let mut grad_in = take_uninit::<f32>(x.len());
     let grads = (grad_w, grad_b, Some(&mut grad_in[..]));
     backward(backend, geom, x, weight, grad_out, grads);
     grad_in
@@ -212,7 +248,8 @@ pub fn conv_backward_params(
     backward(backend, geom, x, weight, grad_out, (grad_w, grad_b, None));
 }
 
-/// Where a backward pass accumulates: `(grad_w, grad_b, grad_in)`; a `None` input gradient
+/// Where a backward pass puts its results: `(grad_w, grad_b, grad_in)`. The two parameter
+/// gradients are accumulated into, the input gradient is written; a `None` input gradient
 /// is not computed.
 type Grads<'a> = (&'a mut [f32], &'a mut [f32], Option<&'a mut [f32]>);
 
@@ -316,6 +353,9 @@ fn backward_naive(
         ..
     } = geom;
     let (ph, pw) = (geom.ph as isize, geom.pw as isize);
+    if let Some(grad_in) = grad_in.as_deref_mut() {
+        grad_in.fill(0.0);
+    }
     for ni in 0..n {
         for co in 0..c_out {
             for oy in 0..h_out {
@@ -352,223 +392,211 @@ fn backward_naive(
 }
 
 // ---------------------------------------------------------------------------
-// Blocked path: micro-kernel panels packed straight from the NCHW tensors.
+// Blocked path: gathered micro-kernel folds over one zero-padded stage.
 //
 // All three products run over the *global* output positions of the batch,
-// `j = (ni·h_out + oy)·w_out + ox`, cut into row runs; no column matrix exists.
+// `j = (ni·h_out + oy)·w_out + ox`; no column matrix and no patch panel exists.
 // ---------------------------------------------------------------------------
 
-/// A maximal stretch of consecutive output positions inside one output row.
-#[derive(Clone, Copy)]
-struct Run {
-    /// Offset of the run's first position in the position range it was cut from.
-    lane: usize,
-    len: usize,
-    ni: usize,
-    oy: usize,
-    ox: usize,
+/// The offset tables of a geometry's *stage*, the zero-padded `[n, c_in, hp, wp]` layout of
+/// its input: patch element `(position, tap)` is stage element `origins[position] +
+/// taps[tap]`, and the sum never leaves the stage.
+struct StageTables {
+    /// `ci·hp·wp + ky·wp + kx`, ascending `(ci, ky, kx)` — the naive nest's tap order.
+    taps: Vec<usize>,
+    /// `ni·c_in·hp·wp + oy·sh·wp + ox·sw`, in `(ni, oy, ox)` order.
+    origins: Vec<usize>,
+    /// `(y + ph)·wp + pw + x`: where element `(y, x)` of an input plane sits in its stage
+    /// plane. Rows of at least [`ROW_COPY_MIN`] elements move between the two as slices;
+    /// shorter ones element by element through this table.
+    interior: Vec<usize>,
 }
 
-impl Run {
-    /// Index of the run's first element in channel `c` of a `[n, channels, h_out, w_out]`
-    /// tensor (the output, or its gradient).
-    fn at(&self, (h_out, w_out): (usize, usize), channels: usize, c: usize) -> usize {
-        ((self.ni * channels + c) * h_out + self.oy) * w_out + self.ox
+/// The row length from which one `memcpy` call per row beats an indexed store per element
+/// (a call costs about a dozen of them); most of the zoo's 2-D rows are shorter.
+const ROW_COPY_MIN: usize = 16;
+
+impl StageTables {
+    fn new(g: &ConvGeom) -> Self {
+        let (hp, wp) = g.padded_hw();
+        let mut taps = take_uninit::<usize>(g.patch_len());
+        for (r, row) in taps.chunks_exact_mut(g.kw).enumerate() {
+            let (ci, ky) = (r / g.kh, r % g.kh);
+            for (kx, tap) in row.iter_mut().enumerate() {
+                *tap = (ci * hp + ky) * wp + kx;
+            }
+        }
+        let mut origins = take_uninit::<usize>(g.positions());
+        for (r, row) in origins.chunks_exact_mut(g.w_out()).enumerate() {
+            let (ni, oy) = (r / g.h_out(), r % g.h_out());
+            for (ox, origin) in row.iter_mut().enumerate() {
+                *origin = (ni * g.c_in * hp + oy * g.sh) * wp + ox * g.sw;
+            }
+        }
+        let mut interior = take_uninit::<usize>(g.h * g.w);
+        for (y, row) in interior.chunks_exact_mut(g.w.max(1)).enumerate() {
+            for (x, at) in row.iter_mut().enumerate() {
+                *at = (y + g.ph) * wp + g.pw + x;
+            }
+        }
+        Self {
+            taps,
+            origins,
+            interior,
+        }
     }
-}
 
-/// Cuts the global output positions `[j0, j1)` of an `out_hw = (h_out, w_out)` output into
-/// row runs, in ascending order.
-fn row_runs(out_hw: (usize, usize), j0: usize, j1: usize) -> impl Iterator<Item = Run> {
-    let (h_out, w_out) = out_hw;
-    let (mut j, mut ox) = (j0, j0 % w_out);
-    let (mut ni, mut oy) = (j0 / w_out / h_out, j0 / w_out % h_out);
-    std::iter::from_fn(move || {
-        (j < j1).then(|| {
-            let len = (w_out - ox).min(j1 - j);
-            let run = Run {
-                lane: j - j0,
-                len,
-                ni,
-                oy,
-                ox,
-            };
-            (j, ox, oy) = (j + len, 0, oy + 1);
-            if oy == h_out {
-                (ni, oy) = (ni + 1, 0);
-            }
-            run
-        })
-    })
-}
-
-/// Visits the in-image part of every `(run, tap)` pair with `tap ∈ taps`: the call
-/// `f(tap - taps.start, lane, count, xi)` says that under this tap the positions at lanes
-/// `lane .. lane + count` read `x[xi]`, `x[xi + sw]`, ... — for stride 1 one contiguous,
-/// edge-clipped slice of an input row. Lanes whose tap falls into the padding are not
-/// visited. Runs ascend and, inside a run, kernel columns descend; the input-gradient
-/// scatter relies on that order, the two packers do not care.
-fn for_each_segment(
-    geom: &ConvGeom,
-    runs: impl Iterator<Item = Run>,
-    taps: std::ops::Range<usize>,
-    mut f: impl FnMut(usize, usize, usize, usize),
-) {
-    let g = geom;
-    let (khw, chan) = (g.kh * g.kw, g.h * g.w);
-    // Tap `ci·khw + off` lies in `taps` exactly for `ci` in `c0 + (off < r0) .. c1 + (off < r1)`.
-    let (c0, r0) = (taps.start / khw, taps.start % khw);
-    let (c1, r1) = (taps.end / khw, taps.end % khw);
-    // Lanes `l` with `l·sw < d`; the zoo is all stride 1, where this is a division saved.
-    let lanes_below = |d: usize| if g.sw == 1 { d } else { d.div_ceil(g.sw) };
-    for run in runs {
-        for ky in (0..g.kh).rev() {
-            let iy = run.oy * g.sh + ky;
-            if iy < g.ph || iy - g.ph >= g.h {
-                continue;
-            }
-            let row = (run.ni * g.c_in * g.h + iy - g.ph) * g.w;
-            for kx in (0..g.kw).rev() {
-                // Lane `l` reads input column `col + l·sw - pw`, which must lie in `[0, w)`.
-                let col = run.ox * g.sw + kx;
-                let lo = lanes_below(g.pw.saturating_sub(col));
-                let hi = lanes_below((g.w + g.pw).saturating_sub(col)).min(run.len);
-                if lo >= hi {
-                    continue;
+    /// The input as the products read it: a zero-padded copy, or nothing to copy.
+    fn stage_input(&self, g: &ConvGeom, x: &[f32]) -> Option<Vec<f32>> {
+        g.is_padded().then(|| {
+            let (hp, wp) = g.padded_hw();
+            let mut stage = take_zeroed::<f32>(g.n * g.c_in * hp * wp);
+            let planes = x.chunks_exact(self.interior.len().max(1));
+            for (plane, staged) in planes.zip(stage.chunks_exact_mut(hp * wp)) {
+                if g.w < ROW_COPY_MIN {
+                    for (v, &at) in plane.iter().zip(&self.interior) {
+                        staged[at] = *v;
+                    }
+                } else {
+                    let row_starts = self.interior.iter().step_by(g.w);
+                    for (row, &at) in plane.chunks_exact(g.w).zip(row_starts) {
+                        staged[at..at + g.w].copy_from_slice(row);
+                    }
                 }
-                let xi = row + col + lo * g.sw - g.pw;
-                let off = ky * g.kw + kx;
-                for ci in c0 + usize::from(off < r0)..c1 + usize::from(off < r1) {
-                    f(
-                        ci * khw + off - taps.start,
-                        run.lane + lo,
-                        hi - lo,
-                        xi + ci * chan,
-                    );
+            }
+            stage
+        })
+    }
+
+    /// The inverse of [`stage_input`](Self::stage_input) for a gradient: the interior of
+    /// its stage, copied out.
+    fn unstage_into(&self, g: &ConvGeom, stage: &[f32], grad_in: &mut [f32]) {
+        let (hp, wp) = g.padded_hw();
+        let planes = grad_in.chunks_exact_mut(self.interior.len().max(1));
+        for (plane, staged) in planes.zip(stage.chunks_exact(hp * wp)) {
+            if g.w < ROW_COPY_MIN {
+                for (v, &at) in plane.iter_mut().zip(&self.interior) {
+                    *v = staged[at];
+                }
+            } else {
+                let row_starts = self.interior.iter().step_by(g.w);
+                for (row, &at) in plane.chunks_exact_mut(g.w).zip(row_starts) {
+                    row.copy_from_slice(&staged[at..at + g.w]);
                 }
             }
         }
     }
-}
 
-/// Packs all of an `[m, k]` GEMM A operand over `weight` (`trans` as in [`pack_a`]) into
-/// `MR`-row panels, one panel set per `kc` block of `k`: the set of block `k0` starts at
-/// `m_pad·k0`, and panel `pa` of it `pa·MR·kc_eff` further on.
-fn pack_weight_panels<const MR: usize>(
-    kc: usize,
-    trans: Trans,
-    weight: &[f32],
-    m: usize,
-    k: usize,
-) -> Vec<f32> {
-    let m_pad = m.next_multiple_of(MR);
-    // pack_a writes every slot of every panel (ragged rows as zeros).
-    let mut wp = crate::pool::take_uninit::<f32>(m_pad * k);
-    for k0 in (0..k).step_by(kc) {
-        let kc_eff = kc.min(k - k0);
-        pack_a(
-            trans,
-            weight,
-            (m, k),
-            0,
-            k0,
-            m,
-            kc_eff,
-            &mut wp[m_pad * k0..],
-            MR,
-        );
+    fn recycle(self) {
+        recycle(self.taps);
+        recycle(self.origins);
+        recycle(self.interior);
     }
-    wp
 }
 
-/// The forward pass as a [`PanelOp`]: `(geom, x, weight, out)`.
-struct Forward<'a>(&'a ConvGeom, &'a [f32], &'a [f32], &'a mut [f32]);
+/// Cuts the global positions `[j0, j1)` at image boundaries: `(first - j0, len, ni, s)` per
+/// stretch, `s` the stretch's first index inside a plane of image `ni`. A channel of an
+/// NCHW tensor is contiguous over exactly such a stretch.
+fn image_cuts(
+    plane: usize,
+    j0: usize,
+    j1: usize,
+) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut j = j0;
+    std::iter::from_fn(move || {
+        (j < j1).then(|| {
+            let (ni, s) = (j / plane, j % plane);
+            let len = (plane - s).min(j1 - j);
+            let cut = (j - j0, len, ni, s);
+            j += len;
+            cut
+        })
+    })
+}
+
+/// The forward pass as a [`PanelOp`]: `(geom, x, weight, bias, out)`.
+struct Forward<'a>(&'a ConvGeom, &'a [f32], &'a [f32], &'a [f32], &'a mut [f32]);
 
 impl PanelOp for Forward<'_> {
     fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
-        let Forward(geom, x, weight, out) = self;
-        let (per_out, ckk) = (geom.per_image_out(), geom.patch_len());
-        // A = W [c_out, taps], packed once per call.
-        let wp = pack_weight_panels::<MR>(pk.kc, Trans::Nn, weight, geom.c_out, ckk);
+        let Forward(geom, x, weight, bias, out) = self;
+        let (c_out, per_out, ckk) = (geom.c_out, geom.per_image_out(), geom.patch_len());
+        let tables = StageTables::new(geom);
+        let staged = tables.stage_input(geom, x);
+        let stage = staged.as_deref().unwrap_or(x);
+        let patches = Gather::new(stage, &tables.origins, &tables.taps);
+        // B = Wᵀ as `NR`-channel panels `wp[panel][tap][co]`, packed once per call; the
+        // lanes past `c_out` stay zero.
+        let mut wp = take_zeroed::<f32>(c_out.next_multiple_of(NR) * ckk);
+        for (co, w_row) in weight.chunks_exact(ckk).enumerate() {
+            let panel = wp[co / NR * ckk * NR..].as_chunks_mut::<NR>().0;
+            for (lanes, w) in panel.iter_mut().zip(w_row) {
+                lanes[co % NR] = *w;
+            }
+        }
         let threads = rayon::current_num_threads();
         if threads > 1 && geom.n > 1 && 2 * geom.n * per_out * ckk >= PAR_MIN_FLOPS {
-            // Contiguous image ranges: disjoint output slices, own B panel, and every
-            // element folds the same values in the same order wherever the panel
-            // boundaries fall.
+            // Contiguous image ranges: disjoint output slices over the shared read-only
+            // stage, and every element folds the same values in the same order wherever
+            // the tile boundaries fall.
             let per_task = geom.n.div_ceil(threads);
             let chunks = out.chunks_mut(per_task * per_out).enumerate();
             // lint: allow(hot-path-alloc) multi-core fan-out task list; the alloc-gated
             // single-core path never reaches here
             let tasks: Vec<(usize, &mut [f32])> = chunks.collect();
-            tasks
-                .into_par_iter()
-                .for_each(|(t, chunk)| forward_panels(geom, &pk, &wp, x, chunk, t * per_task));
+            tasks.into_par_iter().for_each(|(t, chunk)| {
+                forward_tiles(geom, &pk, &patches, &wp, bias, chunk, t * per_task)
+            });
         } else {
-            forward_panels(geom, &pk, &wp, x, out, 0);
+            forward_tiles(geom, &pk, &patches, &wp, bias, out, 0);
         }
-        crate::pool::recycle(wp);
+        recycle(wp);
+        if let Some(staged) = staged {
+            recycle(staged);
+        }
+        tables.recycle();
     }
 }
 
 /// Forward product over the images `out` covers (`ni0` is the first):
-/// `out[ni][co][pos] += Σ_tap W[co][tap] · x(patch)`, taps ascending `(ci, ky, kx)` and
-/// padding lanes holding `0.0`, so each element folds exactly what the naive nest folds.
-fn forward_panels<const MR: usize, const NR: usize>(
+/// `out[ni][co][pos] = bias[co] + Σ_tap x(patch) · W[co][tap]`, taps ascending
+/// `(ci, ky, kx)` and padding taps reading `0.0`, so each element folds exactly what the
+/// naive nest folds. Rows of a tile are positions, lanes are channels.
+fn forward_tiles<const MR: usize, const NR: usize>(
     geom: &ConvGeom,
     pk: &PanelKernel<MR, NR>,
+    patches: &Gather<'_>,
     wp: &[f32],
-    x: &[f32],
+    bias: &[f32],
     out: &mut [f32],
     ni0: usize,
 ) {
-    let (c_out, ckk, sw) = (geom.c_out, geom.patch_len(), geom.sw);
-    let hw = (geom.h_out(), geom.w_out());
-    let c_pad = c_out.next_multiple_of(MR);
-    let (j_begin, base) = (ni0 * hw.0 * hw.1, ni0 * geom.per_image_out());
+    let (c_out, ckk) = (geom.c_out, geom.patch_len());
+    let plane = geom.h_out() * geom.w_out();
+    let (j_begin, base) = (ni0 * plane, ni0 * geom.per_image_out());
     let j_end = j_begin + out.len() / c_out;
-    let mut acc = [[0.0f32; NR]; MR];
-    // One B panel, `bp[tap][lane]`: zero-filled per use, then the in-image lanes copied.
-    let mut bp = crate::pool::take_uninit::<f32>(NR * pk.kc.min(ckk));
-    for j0 in (j_begin..j_end).step_by(NR) {
-        let j1 = (j0 + NR).min(j_end);
-        for k0 in (0..ckk).step_by(pk.kc) {
-            let kc_eff = pk.kc.min(ckk - k0);
-            let b = &mut bp[..kc_eff * NR];
-            b.fill(0.0);
-            let b_rows = b.as_chunks_mut::<NR>().0;
-            let runs = row_runs(hw, j0, j1);
-            for_each_segment(geom, runs, k0..k0 + kc_eff, |t, lane, count, xi| {
-                let dst = &mut b_rows[t][lane..lane + count];
-                if sw == 1 {
-                    dst.copy_from_slice(&x[xi..xi + count]);
-                } else {
-                    for (d, s) in dst.iter_mut().zip(x[xi..].iter().step_by(sw)) {
-                        *d = *s;
-                    }
-                }
-            });
-            let a_all = &wp[c_pad * k0..][..c_pad * kc_eff];
-            for (pa, a) in a_all.chunks_exact(MR * kc_eff).enumerate() {
-                let rows = MR.min(c_out - pa * MR);
-                // Load the output tile run by run, fold the block into it, store it back;
-                // lanes outside `rows` x `j0..j1` meet zero panels and are never stored.
-                for run in row_runs(hw, j0, j1) {
-                    for (il, acc_row) in acc.iter_mut().enumerate().take(rows) {
-                        let at = run.at(hw, c_out, pa * MR + il) - base;
-                        acc_row[run.lane..][..run.len].copy_from_slice(&out[at..at + run.len]);
-                    }
-                }
-                pk.fold(a, b, &mut acc);
-                for run in row_runs(hw, j0, j1) {
-                    for (il, acc_row) in acc.iter().enumerate().take(rows) {
-                        let at = run.at(hw, c_out, pa * MR + il) - base;
-                        out[at..at + run.len].copy_from_slice(&acc_row[run.lane..][..run.len]);
+    for (b_panel, co0) in wp.chunks_exact(ckk * NR).zip((0..c_out).step_by(NR)) {
+        let cols = NR.min(c_out - co0);
+        let mut seed = [0.0f32; NR];
+        seed[..cols].copy_from_slice(&bias[co0..co0 + cols]);
+        for j0 in (j_begin..j_end).step_by(MR) {
+            let rows = MR.min(j_end - j0);
+            let mut acc = [seed; MR];
+            for k0 in (0..ckk).step_by(pk.kc) {
+                let k1 = (k0 + pk.kc).min(ckk);
+                pk.fold_gather(patches, j0, k0..k1, &b_panel[k0 * NR..k1 * NR], &mut acc);
+            }
+            // Rows past `rows` and lanes past `cols` folded padding and are not stored.
+            for (i0, len, ni, s) in image_cuts(plane, j0, j0 + rows) {
+                for co in 0..cols {
+                    let at = (ni * c_out + co0 + co) * plane + s - base;
+                    for (o, acc_row) in out[at..at + len].iter_mut().zip(&acc[i0..]) {
+                        *o = acc_row[co];
                     }
                 }
             }
         }
     }
-    crate::pool::recycle(bp);
 }
 
 fn backward_blocked(
@@ -588,155 +616,215 @@ fn backward_blocked(
             }
         }
     }
-    with_panel_kernel(Backward(geom, x, weight, grad_out, grad_w, grad_in));
+    // The two products share the tables but not the tile: the weight gradient's lanes are
+    // channels, the input gradient's are positions.
+    let tables = StageTables::new(geom);
+    with_panel_kernel(geom.c_out, WeightGrad(geom, &tables, x, grad_out, grad_w));
+    if let Some(grad_in) = grad_in {
+        let op = InputGrad(geom, &tables, weight, grad_out, grad_in);
+        with_panel_kernel(geom.positions(), op);
+    }
+    tables.recycle();
 }
 
-/// The backward products as a [`PanelOp`]: `(geom, x, weight, grad_out, grad_w, grad_in)`,
-/// the input-gradient product only when there is a `grad_in` to receive it.
-struct Backward<'a>(
+/// The weight-gradient product as a [`PanelOp`]: `(geom, tables, x, grad_out, grad_w)`.
+struct WeightGrad<'a>(
     &'a ConvGeom,
-    &'a [f32],
+    &'a StageTables,
     &'a [f32],
     &'a [f32],
     &'a mut [f32],
-    Option<&'a mut [f32]>,
 );
 
-impl PanelOp for Backward<'_> {
+impl PanelOp for WeightGrad<'_> {
+    /// `grad_w[co][tap] += Σ_(ni,pos) x(patch) · G[ni][co][pos]` over the global position
+    /// index, i.e. the image-by-image, scan-order fold of the naive nest continued in
+    /// `grad_w`. The forward's operand with its tables swapped: rows of a tile are taps,
+    /// the fold runs over positions, lanes are channels — never positions, a horizontal
+    /// reduction over them would reassociate the sum.
     fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
-        let Backward(geom, x, weight, grad_out, grad_w, grad_in) = self;
-        weight_grad_panels(geom, &pk, x, grad_out, grad_w);
-        if let Some(grad_in) = grad_in {
-            input_grad_panels(geom, &pk, weight, grad_out, grad_in);
+        let WeightGrad(geom, tables, x, grad_out, grad_w) = self;
+        let (c_out, ckk, total) = (geom.c_out, geom.patch_len(), geom.positions());
+        let plane = geom.h_out() * geom.w_out();
+        let staged = tables.stage_input(geom, x);
+        let stage = staged.as_deref().unwrap_or(x);
+        let patches = Gather::new(stage, &tables.taps, &tables.origins);
+        let c_pad = c_out.next_multiple_of(NR);
+        let row_tiles = ckk.div_ceil(MR);
+        // The tiles of `grad_w`, transposed (`grad_w` is channel-major, a tile's rows are
+        // taps) and resident for the whole call: `acc[panel][row tile]`, loaded once here
+        // and stored once at the end, whatever the number of position blocks in between.
+        let mut acc = take_zeroed::<f32>(c_pad * row_tiles * MR);
+        let tiles = acc.as_chunks_mut::<NR>().0.as_chunks_mut::<MR>().0;
+        for (co, w_row) in grad_w.chunks_exact(ckk).enumerate() {
+            let panel = &mut tiles[co / NR * row_tiles..][..row_tiles];
+            for (tile, w_rows) in panel.iter_mut().zip(w_row.chunks(MR)) {
+                for (acc_row, w) in tile.iter_mut().zip(w_rows) {
+                    acc_row[co % NR] = *w;
+                }
+            }
+        }
+        let mut gp = take_uninit::<f32>(c_pad * pk.kc.min(total));
+        for k0 in (0..total).step_by(pk.kc) {
+            let k1 = (k0 + pk.kc).min(total);
+            // B = G position-major as `NR`-channel panels `gp[panel][pos][co]`, ragged
+            // channel lanes zero.
+            let gp = &mut gp[..c_pad * (k1 - k0)];
+            if c_pad > c_out {
+                gp.fill(0.0);
+            }
+            for (q0, len, ni, s) in image_cuts(plane, k0, k1) {
+                for co in 0..c_out {
+                    let panel = &mut gp[co / NR * (k1 - k0) * NR..][..(k1 - k0) * NR];
+                    let lanes = &mut panel.as_chunks_mut::<NR>().0[q0..q0 + len];
+                    let src = &grad_out[(ni * c_out + co) * plane + s..][..len];
+                    for (lane_row, g) in lanes.iter_mut().zip(src) {
+                        lane_row[co % NR] = *g;
+                    }
+                }
+            }
+            let panels = gp.chunks_exact((k1 - k0) * NR);
+            for (b_panel, panel_tiles) in panels.zip(tiles.chunks_exact_mut(row_tiles)) {
+                for (tile, t0) in panel_tiles.iter_mut().zip((0..).step_by(MR)) {
+                    pk.fold_gather(&patches, t0, k0..k1, b_panel, tile);
+                }
+            }
+        }
+        // Rows past the taps and lanes past `c_out` folded padding and are not stored.
+        for (co, w_row) in grad_w.chunks_exact_mut(ckk).enumerate() {
+            let panel = &tiles[co / NR * row_tiles..][..row_tiles];
+            for (tile, w_rows) in panel.iter().zip(w_row.chunks_mut(MR)) {
+                for (acc_row, w) in tile.iter().zip(w_rows) {
+                    *w = acc_row[co % NR];
+                }
+            }
+        }
+        recycle(acc);
+        recycle(gp);
+        if let Some(staged) = staged {
+            recycle(staged);
         }
     }
 }
 
-/// Weight gradient: `grad_w[co][tap] += Σ_(ni,pos) G[ni][co][pos] · x(patch)` with `k` the
-/// global position index, i.e. the image-by-image, scan-order fold of the naive nest
-/// continued in `grad_w`. Lanes are taps and rows are channels, never positions — a
-/// horizontal reduction over positions would reassociate the sum.
-fn weight_grad_panels<const MR: usize, const NR: usize>(
-    geom: &ConvGeom,
-    pk: &PanelKernel<MR, NR>,
-    x: &[f32],
-    grad_out: &[f32],
-    grad_w: &mut [f32],
-) {
-    let (c_out, ckk, sw) = (geom.c_out, geom.patch_len(), geom.sw);
-    let hw = (geom.h_out(), geom.w_out());
-    let total = geom.n * hw.0 * hw.1;
-    let c_pad = c_out.next_multiple_of(MR);
-    let mut gp = crate::pool::take_uninit::<f32>(c_pad * pk.kc.min(total));
-    let mut bp = crate::pool::take_uninit::<f32>(NR * pk.kc.min(total));
-    for j0 in (0..total).step_by(pk.kc) {
-        let kc_eff = pk.kc.min(total - j0);
-        // A panels gather G: `gp[panel][pos][co]`, ragged channel rows zero.
-        let a_all = &mut gp[..c_pad * kc_eff];
-        a_all.fill(0.0);
-        for run in row_runs(hw, j0, j0 + kc_eff) {
-            for (pa, a) in a_all.chunks_exact_mut(MR * kc_eff).enumerate() {
-                let a_cols = &mut a.as_chunks_mut::<MR>().0[run.lane..][..run.len];
-                for il in 0..MR.min(c_out - pa * MR) {
-                    let src = &grad_out[run.at(hw, c_out, pa * MR + il)..][..run.len];
-                    for (col, s) in a_cols.iter_mut().zip(src) {
-                        col[il] = *s;
-                    }
-                }
-            }
-        }
-        // B panels are the patches transposed: `bp[pos][tap]`, padding left at zero.
-        for t0 in (0..ckk).step_by(NR) {
-            let cols = NR.min(ckk - t0);
-            let b = &mut bp[..kc_eff * NR];
-            b.fill(0.0);
-            let b_rows = b.as_chunks_mut::<NR>().0;
-            let runs = row_runs(hw, j0, j0 + kc_eff);
-            for_each_segment(geom, runs, t0..t0 + cols, |t, lane, count, xi| {
-                let dst = &mut b_rows[lane..lane + count];
-                if sw == 1 {
-                    for (row, s) in dst.iter_mut().zip(&x[xi..xi + count]) {
-                        row[t] = *s;
-                    }
-                } else {
-                    for (row, s) in dst.iter_mut().zip(x[xi..].iter().step_by(sw)) {
-                        row[t] = *s;
-                    }
-                }
-            });
-            pk.fold_block(a_all, b, grad_w, ckk, t0, 0, c_out, cols, kc_eff);
-        }
-    }
-    crate::pool::recycle(gp);
-    crate::pool::recycle(bp);
-}
+/// The input-gradient product as a [`PanelOp`]:
+/// `(geom, tables, weight, grad_out, grad_in)`.
+struct InputGrad<'a>(
+    &'a ConvGeom,
+    &'a StageTables,
+    &'a [f32],
+    &'a [f32],
+    &'a mut [f32],
+);
 
-/// Input gradient without a patch-gradient matrix: per position panel the tiles
-/// `d[tap][lane] = Σ_co W[co][tap] · G[co][lane]` are folded from zero over *all* of `c_out`
-/// and only then added into `grad_in`. For a fixed `grad_in` element each tap contributes
-/// from exactly one position and, because `iy = oy·s + ky − p`, ascending position is
-/// descending `(ky, kx)`: with position panels ascending and [`for_each_segment`]'s order
-/// inside a panel, every element receives its contributions in ascending position order —
-/// the sequence a scan-order scatter of the patch-gradient matrix produces. This is the
-/// one reduction that is reassociated against the naive nest.
-fn input_grad_panels<const MR: usize, const NR: usize>(
-    geom: &ConvGeom,
-    pk: &PanelKernel<MR, NR>,
-    weight: &[f32],
-    grad_out: &[f32],
-    grad_in: &mut [f32],
-) {
-    let (c_out, ckk, sw) = (geom.c_out, geom.patch_len(), geom.sw);
-    let hw = (geom.h_out(), geom.w_out());
-    let total = geom.n * hw.0 * hw.1;
-    let t_pad = ckk.next_multiple_of(MR);
-    // A = Wᵀ [taps, c_out], packed once per call.
-    let wt = pack_weight_panels::<MR>(pk.kc, Trans::Tn, weight, ckk, c_out);
-    // B panel of G, `bp[co][lane]`; lanes past a ragged last panel are never scattered.
-    let mut bp = crate::pool::take_uninit::<f32>(NR * pk.kc.min(c_out));
-    // The tap tiles of one position panel, `d[tap][lane]`.
-    let mut d = crate::pool::take_uninit::<f32>(t_pad * NR);
-    let d_rows = d.as_chunks_mut::<NR>().0;
-    for j0 in (0..total).step_by(NR) {
-        let j1 = (j0 + NR).min(total);
-        d_rows.fill([0.0; NR]);
-        for k0 in (0..c_out).step_by(pk.kc) {
-            let kc_eff = pk.kc.min(c_out - k0);
-            let b_rows = &mut bp.as_chunks_mut::<NR>().0[..kc_eff];
-            for run in row_runs(hw, j0, j1) {
-                for (kl, b_row) in b_rows.iter_mut().enumerate() {
-                    let at = run.at(hw, c_out, k0 + kl);
-                    b_row[run.lane..][..run.len].copy_from_slice(&grad_out[at..at + run.len]);
+impl PanelOp for InputGrad<'_> {
+    /// Input gradient without a patch-gradient matrix: per `NR` positions the tiles
+    /// `d[tap][pos] = Σ_co W[co][tap] · G[co][pos]` are folded from zero over *all* of
+    /// `c_out` — `W` read in place, rows its taps, offsets its channel rows — and only then
+    /// added into a zero-padded stage of `grad_in`, whose interior is the result. For a
+    /// fixed `grad_in` element each tap contributes from exactly one position and, because
+    /// `iy = oy·s + ky − p`, ascending position is descending `(ky, kx)`: with position
+    /// panels ascending and taps descending inside a panel, every element receives its
+    /// contributions in ascending position order — the sequence a scan-order scatter of
+    /// the patch-gradient matrix produces. This is the one reduction that is reassociated
+    /// against the naive nest.
+    fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
+        let InputGrad(geom, tables, weight, grad_out, grad_in) = self;
+        let (c_out, ckk, total) = (geom.c_out, geom.patch_len(), geom.positions());
+        let plane = geom.h_out() * geom.w_out();
+        // A = Wᵀ needs no packing: row `tap` of it is `weight[tap + co·ckk]` over `co`.
+        let mut w_rows = take_uninit::<usize>(ckk);
+        for (tap, row) in w_rows.iter_mut().enumerate() {
+            *row = tap;
+        }
+        let mut w_offs = take_uninit::<usize>(c_out);
+        for (co, off) in w_offs.iter_mut().enumerate() {
+            *off = co * ckk;
+        }
+        let taps_of_w = Gather::new(weight, &w_rows, &w_offs);
+        // B panel of G, `bp[co][lane]`; the tap tiles of one position panel, `d[tap][lane]`.
+        let mut bp = take_uninit::<f32>(c_out * NR);
+        let mut d = take_uninit::<f32>(ckk.next_multiple_of(MR) * NR);
+        let d_rows = d.as_chunks_mut::<NR>().0;
+        let (hp, wp) = geom.padded_hw();
+        let mut staged = geom
+            .is_padded()
+            .then(|| take_zeroed::<f32>(geom.n * geom.c_in * hp * wp));
+        if staged.is_none() {
+            grad_in.fill(0.0);
+        }
+        let stage = staged.as_deref_mut().unwrap_or(&mut *grad_in);
+        for j0 in (0..total).step_by(NR) {
+            let origins = &tables.origins[j0..(j0 + NR).min(total)];
+            if origins.len() < NR {
+                // The lanes past a ragged last panel fold zeros.
+                bp.fill(0.0);
+            }
+            for (q0, len, ni, s) in image_cuts(plane, j0, j0 + origins.len()) {
+                for (b_row, co) in bp.as_chunks_mut::<NR>().0.iter_mut().zip(0..) {
+                    let at = (ni * c_out + co) * plane + s;
+                    b_row[q0..q0 + len].copy_from_slice(&grad_out[at..at + len]);
                 }
             }
-            let a_all = &wt[t_pad * k0..][..t_pad * kc_eff];
+            d_rows.fill([0.0; NR]);
             let tiles = d_rows.as_chunks_mut::<MR>().0;
-            for (a, tile) in a_all.chunks_exact(MR * kc_eff).zip(tiles) {
-                pk.fold(a, &bp[..kc_eff * NR], tile);
+            for (tile, t0) in tiles.iter_mut().zip((0..).step_by(MR)) {
+                for k0 in (0..c_out).step_by(pk.kc) {
+                    let k1 = (k0 + pk.kc).min(c_out);
+                    pk.fold_gather(&taps_of_w, t0, k0..k1, &bp[k0 * NR..k1 * NR], tile);
+                }
             }
-        }
-        for_each_segment(geom, row_runs(hw, j0, j1), 0..ckk, |t, lane, count, xi| {
-            let src = &d_rows[t][lane..lane + count];
-            if sw == 1 {
-                for (d, s) in grad_in[xi..xi + count].iter_mut().zip(src) {
-                    *d += *s;
+            // Taps descend; under one tap the lanes touch distinct elements. Lanes whose
+            // origins are consecutive (for stride 1, a stretch of one output row) form a
+            // run, closed by its entry in `ends`: long runs add a tap as one slice each,
+            // short ones cost less lane by lane — a ragged panel padded with lanes that
+            // add their zeros at its first origin.
+            let mut ends = [0usize; NR];
+            let mut runs = 0;
+            for lane in 1..=origins.len() {
+                if lane == origins.len() || origins[lane] != origins[lane - 1] + 1 {
+                    ends[runs] = lane;
+                    runs += 1;
+                }
+            }
+            let taps_descending = tables.taps.iter().zip(d_rows.iter()).rev();
+            if runs * 8 <= origins.len() {
+                for (&tap, d_row) in taps_descending {
+                    let mut l0 = 0;
+                    for &l1 in &ends[..runs] {
+                        let dst = &mut stage[origins[l0] + tap..][..l1 - l0];
+                        for (gi, v) in dst.iter_mut().zip(&d_row[l0..l1]) {
+                            *gi += *v;
+                        }
+                        l0 = l1;
+                    }
                 }
             } else {
-                for (d, s) in grad_in[xi..].iter_mut().step_by(sw).zip(src) {
-                    *d += *s;
+                let mut at = [origins[0]; NR];
+                at[..origins.len()].copy_from_slice(origins);
+                for (&tap, d_row) in taps_descending {
+                    let dst = &mut stage[tap..];
+                    for (&lane_at, v) in at.iter().zip(d_row) {
+                        dst[lane_at] += *v;
+                    }
                 }
             }
-        });
+        }
+        if let Some(stage) = staged {
+            tables.unstage_into(geom, &stage, grad_in);
+            recycle(stage);
+        }
+        recycle(d);
+        recycle(bp);
+        recycle(w_offs);
+        recycle(w_rows);
     }
-    crate::pool::recycle(wt);
-    crate::pool::recycle(bp);
-    crate::pool::recycle(d);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::gemm::{gemm_cfg, Epilogue};
+    use crate::kernels::gemm::{gemm_cfg, Epilogue, Trans};
     use crate::kernels::runtime::{override_lock, set_micro_override, set_tiling_override};
     use crate::kernels::{TilingOverride, ALL_MICRO_KERNELS};
     use crate::rng::seeded;
@@ -747,9 +835,9 @@ mod tests {
     }
 
     // -----------------------------------------------------------------------
-    // Reference: the im2col → per-image GEMM → col2im composition the panel drivers
-    // replaced, kept to pin their reduction order bit for bit (grad_in included, which
-    // the naive nest cannot pin because it folds per output channel).
+    // Reference: the im2col → per-image GEMM → col2im composition the blocked path descends
+    // from, kept to pin its reduction order bit for bit (grad_in included, which the naive
+    // nest cannot pin because it folds per output channel).
     // -----------------------------------------------------------------------
 
     /// Lowers one image to its `[h_out·w_out, c_in·kh·kw]` patch matrix, padding taps as
@@ -851,17 +939,19 @@ mod tests {
         out
     }
 
-    /// Returns `(grad_w, grad_b, grad_in)`, accumulated from zero.
+    /// Returns `(grad_w, grad_b, grad_in)`, the two parameter gradients accumulated on top
+    /// of `seeds`.
     fn reference_backward(
         geom: &ConvGeom,
         x: &[f32],
         weight: &[f32],
         grad_out: &[f32],
+        seeds: (&[f32], &[f32]),
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let (per_in, per_out) = (geom.per_image_in(), geom.per_image_out());
         let plane = geom.h_out() * geom.w_out();
         let ckk = geom.patch_len();
-        let (mut grad_w, mut grad_b) = (vec![0.0; weight.len()], vec![0.0; geom.c_out]);
+        let (mut grad_w, mut grad_b) = (seeds.0.to_vec(), seeds.1.to_vec());
         let mut grad_in = vec![0.0; x.len()];
         let (mut cols, mut dcols) = (vec![0.0; plane * ckk], vec![0.0; plane * ckk]);
         for ni in 0..geom.n {
@@ -907,24 +997,29 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// Forward, grad_w, grad_b and grad_in of the panel drivers against the reference
-    /// composition, bit for bit, under every micro-kernel this host can run.
+    /// Forward, grad_w, grad_b and grad_in of the blocked path against the reference
+    /// composition, bit for bit, under the automatic selection (which narrows the tile for
+    /// `c_out ≤ 8`) and under every micro-kernel this host can run. The parameter gradients
+    /// accumulate on top of what the buffers hold.
     fn check_against_reference(geom: ConvGeom, seed: u64) {
         let mut rng = seeded(seed);
         let x = random_vec(&mut rng, geom.n * geom.per_image_in());
         let weight = random_vec(&mut rng, geom.c_out * geom.patch_len());
         let bias = random_vec(&mut rng, geom.c_out);
+        let (seed_w, seed_b) = (random_vec(&mut rng, weight.len()), bias.clone());
         // A third of the output gradient is exact zeros, as behind a ReLU.
         let grad_out: Vec<f32> = random_vec(&mut rng, geom.n * geom.per_image_out())
             .into_iter()
             .map(|g| if g < -0.5 { 0.0 } else { g })
             .collect();
         let want_y = reference_forward(&geom, &x, &weight, &bias);
-        let (want_gw, want_gb, want_gi) = reference_backward(&geom, &x, &weight, &grad_out);
-        for id in ALL_MICRO_KERNELS.into_iter().filter(|id| id.is_available()) {
-            set_micro_override(Some(id));
+        let (want_gw, want_gb, want_gi) =
+            reference_backward(&geom, &x, &weight, &grad_out, (&seed_w, &seed_b));
+        let forced = ALL_MICRO_KERNELS.into_iter().filter(|id| id.is_available());
+        for select in std::iter::once(None).chain(forced.map(Some)) {
+            set_micro_override(select);
             let y = conv_forward(KernelBackend::Blocked, &geom, &x, &weight, &bias);
-            let (mut gw, mut gb) = (vec![0.0; weight.len()], vec![0.0; geom.c_out]);
+            let (mut gw, mut gb) = (seed_w.clone(), seed_b.clone());
             let gi = conv_backward(
                 KernelBackend::Blocked,
                 &geom,
@@ -934,7 +1029,7 @@ mod tests {
                 &mut gw,
                 &mut gb,
             );
-            let ctx = format!("{} on {geom:?}", id.name());
+            let ctx = format!("{} on {geom:?}", select.map_or("auto", |id| id.name()));
             assert_eq!(bits(&y), bits(&want_y), "forward, {ctx}");
             assert_eq!(bits(&gw), bits(&want_gw), "grad_w, {ctx}");
             assert_eq!(bits(&gb), bits(&want_gb), "grad_b, {ctx}");
@@ -973,11 +1068,11 @@ mod tests {
     }
 
     const W_OUTS: [usize; 6] = [1, 3, 4, 8, 16, 17];
-    const C_OUTS: [usize; 6] = [1, 6, 8, 16, 17, 40];
+    const C_OUTS: [usize; 7] = [1, 6, 8, 12, 16, 17, 40];
     const BATCHES: [usize; 3] = [1, 2, 9];
 
     #[test]
-    fn panel_drivers_match_the_im2col_composition_bit_for_bit() {
+    fn gathered_products_match_the_im2col_composition_bit_for_bit() {
         let _guard = override_lock();
         let mut rng = seeded(12);
         let mut pick = |list: &[usize]| list[rng.gen_range(0..list.len())];
@@ -993,9 +1088,9 @@ mod tests {
                 }
             }
         }
-        // Every output width × channel count on the zoo's 3x3 / stride 1 / padding 1:
-        // runs shorter and longer than NR, panels straddling rows and images, ragged and
-        // multiple A panels.
+        // Every output width × channel count on the zoo's 3x3 / stride 1 / padding 1: rows
+        // shorter and longer than a tile, tiles straddling rows and images, position counts
+        // that are no multiple of `MR`, ragged and multiple lane panels.
         for w_out in W_OUTS {
             for c_out in C_OUTS {
                 let geom = geom_for(pick(&BATCHES), 3, (3, w_out), c_out, 3, 1, 1);
@@ -1003,22 +1098,41 @@ mod tests {
                 check_against_reference(geom, seed);
             }
         }
-        // Conv1d geometries, strided and padded.
+        // What stresses the two tables: images of 1x1, 2x2 and 3x3 under padding 1 (most
+        // taps of most positions read padding), no padding at all (the stage is the input
+        // and `grad_in` its own stage), stride 2, under the zoo's ragged lane counts.
+        for c_out in [6, 12] {
+            for side in [1, 2, 3] {
+                seed += 1;
+                check_against_reference(ConvGeom::conv2d(9, 5, side, side, c_out, 3, 1, 1), seed);
+            }
+            check_against_reference(ConvGeom::conv2d(2, 3, 6, 7, c_out, 3, 1, 0), seed + 50);
+            check_against_reference(ConvGeom::conv2d(3, 2, 9, 8, c_out, 3, 2, 1), seed + 60);
+            check_against_reference(ConvGeom::conv2d(5, 4, 4, 4, c_out, 1, 1, 0), seed + 70);
+        }
+        // Conv1d geometries, strided and padded, kernel 5 among them.
         check_against_reference(ConvGeom::conv1d(9, 1, 64, 8, 5, 1, 2), 901);
         check_against_reference(ConvGeom::conv1d(2, 12, 16, 16, 3, 1, 1), 902);
         check_against_reference(ConvGeom::conv1d(3, 3, 17, 6, 5, 2, 2), 903);
         check_against_reference(ConvGeom::conv1d(1, 2, 9, 17, 2, 3, 0), 904);
-        // More taps than KC (tap blocking) and more channels than KC (the input gradient
-        // folds every k block before it scatters), at the default KC ...
+        check_against_reference(ConvGeom::conv1d(7, 6, 33, 12, 5, 1, 0), 911);
+        // More taps than KC (the forward continues its tile over tap blocks) and more
+        // channels than KC (the input gradient folds every k block before it adds), at the
+        // default KC ...
         check_against_reference(ConvGeom::conv2d(2, 29, 4, 4, 257, 3, 1, 1), 905);
-        // ... and with KC forced small, so both kinds of blocking meet ragged panels.
-        set_tiling_override(TilingOverride {
-            kc: Some(8),
-            ..TilingOverride::default()
-        });
-        check_against_reference(ConvGeom::conv2d(9, 3, 5, 17, 17, 3, 1, 1), 906);
-        check_against_reference(ConvGeom::conv2d(2, 2, 7, 8, 40, 5, 2, 2), 907);
-        check_against_reference(ConvGeom::conv1d(2, 3, 33, 9, 5, 1, 2), 908);
+        // ... and with KC forced below the tap count *and* the position count, so the
+        // k-block continuation runs in both roles of the stage's tables (taps folded by the
+        // forward, positions folded by the weight gradient) and meets ragged tiles.
+        for kc in [8, 3] {
+            set_tiling_override(TilingOverride {
+                kc: Some(kc),
+                ..TilingOverride::default()
+            });
+            check_against_reference(ConvGeom::conv2d(9, 3, 5, 17, 17, 3, 1, 1), 906);
+            check_against_reference(ConvGeom::conv2d(2, 2, 7, 8, 40, 5, 2, 2), 907);
+            check_against_reference(ConvGeom::conv1d(2, 3, 33, 9, 5, 1, 2), 908);
+            check_against_reference(ConvGeom::conv2d(9, 16, 1, 1, 12, 3, 1, 1), 912);
+        }
         set_tiling_override(TilingOverride::default());
         // An empty batch is a no-op on every kernel.
         check_against_reference(ConvGeom::conv2d(0, 2, 4, 4, 3, 3, 1, 1), 909);

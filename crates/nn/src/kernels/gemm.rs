@@ -31,7 +31,7 @@
 use rayon::prelude::*;
 
 use super::micro::{self, MicroKernelId, MicroSelect};
-use super::runtime::{micro_select, packed_scheme, record_stage_wait, runtime, GemmPlan};
+use super::runtime::{micro_select, panel_scheme, record_stage_wait, runtime, GemmPlan};
 use super::tiling::{PartitionSize, Staging, TilingScheme};
 use super::KernelBackend;
 
@@ -324,7 +324,7 @@ fn b_at(trans: Trans, b: &[f32], n: usize, k: usize, p: usize, j: usize) -> f32 
 /// Packs an `mc_eff × kc_eff` block of A into `mr`-row panels, zero-padding the ragged
 /// last panel. Panel layout is `p`-major: `ap[panel][p * mr + i]`.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn pack_a(
+fn pack_a(
     trans: Trans,
     a: &[f32],
     (m, k): (usize, usize),
@@ -390,52 +390,87 @@ fn pack_b(
 // micro-kernel function pointer per (tile, policy, host).
 // ---------------------------------------------------------------------------
 
-/// The common micro-kernel signature the drivers call through (see [`super::micro`]).
+/// The packed micro-kernel signature the drivers call through (see [`super::micro`]).
 // SAFETY: the stored pointer is only ever a kernel whose CPU features were verified via
 // `is_available()`, and its one caller, `PanelKernel::fold`, checks the panel lengths
 // the kernels require. (Single line so the audit sees this comment on the `unsafe`.)
 #[rustfmt::skip]
 type MicroFn<const TMR: usize, const TNR: usize> = unsafe fn(&[f32], &[f32], &mut [[f32; TNR]; TMR]);
 
-fn resolve_8x8(select: MicroSelect) -> MicroFn<8, 8> {
-    #[cfg(target_arch = "x86_64")]
-    if select.allows(MicroKernelId::Avx8x8) && MicroKernelId::Avx8x8.is_available() {
-        return micro::avx::microkernel;
-    }
-    let _ = select;
-    micro::microkernel_generic::<8, 8>
+/// The gathered micro-kernel signature: `(a, rows, offs, bp, acc)` (see [`super::micro`]).
+// SAFETY: resolved next to the packed pointer, so under the same verified features, and its
+// one caller, `PanelKernel::fold_gather`, only passes rows and offsets a `Gather` bounded.
+#[rustfmt::skip]
+type GatherFn<const TMR: usize, const TNR: usize> = unsafe fn(&[f32], &[usize; TMR], &[usize], &[f32], &mut [[f32; TNR]; TMR]);
+
+/// The two entries of one micro-kernel and the identity of the bodies behind them
+/// ([`MicroKernelId::Portable`] for the generic pair at any tile).
+type Resolved<const TMR: usize, const TNR: usize> =
+    (MicroKernelId, MicroFn<TMR, TNR>, GatherFn<TMR, TNR>);
+
+fn generic<const TMR: usize, const TNR: usize>() -> Resolved<TMR, TNR> {
+    (
+        MicroKernelId::Portable,
+        micro::microkernel_generic::<TMR, TNR>,
+        micro::gather_generic::<TMR, TNR>,
+    )
 }
 
-fn resolve_16x8(select: MicroSelect) -> MicroFn<16, 8> {
+fn resolve_8x8(select: MicroSelect) -> Resolved<8, 8> {
+    let id = MicroKernelId::Avx8x8;
     #[cfg(target_arch = "x86_64")]
-    if select.allows(MicroKernelId::Avx512_16x8) && MicroKernelId::Avx512_16x8.is_available() {
-        return micro::avx512::microkernel;
+    if select.allows(id) && id.is_available() {
+        return (id, micro::avx::microkernel, micro::avx::gather);
     }
-    let _ = select;
-    micro::microkernel_generic::<16, 8>
+    let _ = (select, id);
+    generic()
 }
 
-fn resolve_16x16(select: MicroSelect) -> MicroFn<16, 16> {
+fn resolve_16x8(select: MicroSelect) -> Resolved<16, 8> {
+    let id = MicroKernelId::Avx512_16x8;
     #[cfg(target_arch = "x86_64")]
-    if select.allows(MicroKernelId::Avx512_16x16) && MicroKernelId::Avx512_16x16.is_available() {
-        return micro::avx512w::microkernel;
+    if select.allows(id) && id.is_available() {
+        return (id, micro::avx512::microkernel, micro::avx512::gather);
     }
-    let _ = select;
-    micro::microkernel_generic::<16, 16>
+    let _ = (select, id);
+    generic()
+}
+
+fn resolve_16x16(select: MicroSelect) -> Resolved<16, 16> {
+    let id = MicroKernelId::Avx512_16x16;
+    #[cfg(target_arch = "x86_64")]
+    if select.allows(id) && id.is_available() {
+        return (id, micro::avx512w::microkernel, micro::avx512w::gather);
+    }
+    let _ = (select, id);
+    generic()
 }
 
 /// A micro-kernel resolved for this host as a safe handle: what the packed drivers fold
-/// through, and what panel drivers outside this module get that pack their own operands
-/// (the convolutions, which pack straight from the NCHW tensors). The feature check and
-/// the one `unsafe` call stay in this module.
+/// through, and what drivers outside this module get that bring their own operands (the
+/// convolutions, which fold gathered). The feature check and the two `unsafe` calls stay
+/// in this module.
 #[derive(Clone, Copy)]
 pub(super) struct PanelKernel<const MR: usize, const NR: usize> {
+    /// Which kernel's bodies the two entries are; a forced kernel that does not fit the
+    /// tile (or the host) resolves to the generic pair, never to a mixed one.
+    pub(super) id: MicroKernelId,
     micro_fn: MicroFn<MR, NR>,
+    gather_fn: GatherFn<MR, NR>,
     /// Depth of the shared dimension one fold may cover (the scheme's `kc`).
     pub(super) kc: usize,
 }
 
 impl<const MR: usize, const NR: usize> PanelKernel<MR, NR> {
+    fn new((id, micro_fn, gather_fn): Resolved<MR, NR>, kc: usize) -> Self {
+        Self {
+            id,
+            micro_fn,
+            gather_fn,
+            kc,
+        }
+    }
+
     /// `acc += ap · bp` in ascending-`p` order: `ap` is a `p`-major `kc × MR` panel, `bp`
     /// a `p`-major `kc × NR` panel.
     #[inline]
@@ -443,12 +478,75 @@ impl<const MR: usize, const NR: usize> PanelKernel<MR, NR> {
         let kc = ap.len() / MR;
         assert!(
             ap.len() == kc * MR && bp.len() == kc * NR,
-            "PanelKernel::fold: panels must be kc x MR and kc x NR"
+            "PanelKernel::fold ({}): panels must be kc x {MR} and kc x {NR}",
+            self.id.name()
         );
         // SAFETY: the panel lengths were checked just above, and `micro_fn` is only ever
         // set by dispatch_tile, i.e. to a kernel whose features the host has (see
         // resolve_8x8 / resolve_16x8 / resolve_16x16).
         unsafe { (self.micro_fn)(ap, bp, acc) };
+    }
+
+    /// [`fold`](Self::fold) with the `MR` operand rows read in place:
+    /// `acc[i][j] += a[rows[r0 + i] + offs[p]] · bp[(p - k.start)·NR + j]` for `p`
+    /// ascending over `k`, with `a`, `rows` and `offs` those of `operand`. Rows past the
+    /// end of the row table repeat offset `0`; their accumulator rows are the caller's
+    /// to discard.
+    #[inline]
+    pub(super) fn fold_gather(
+        &self,
+        operand: &Gather<'_>,
+        r0: usize,
+        k: std::ops::Range<usize>,
+        bp: &[f32],
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        let offs = &operand.offs[k];
+        assert_eq!(
+            bp.len(),
+            offs.len() * NR,
+            "PanelKernel::fold_gather ({}): bp must be offs.len() x {NR}",
+            self.id.name()
+        );
+        let table = &operand.rows[r0..];
+        if table.is_empty() {
+            // No row to fold — and nothing was proved about an operand without rows.
+            return;
+        }
+        let mut ragged = [0usize; MR];
+        let rows = table.first_chunk::<MR>().unwrap_or_else(|| {
+            ragged[..table.len()].copy_from_slice(table);
+            &ragged
+        });
+        // SAFETY: the row table is not empty here, so `Gather::new` proved `row + off <
+        // a.len()` for every pair of table entries (or `offs` is empty and nothing is
+        // read); `rows` holds table entries or `0` (not above any of them) and `offs` is a
+        // slice of the offset table — the tables are private to `Gather` and never change;
+        // `bp` was measured just above; and `gather_fn` is only ever set next to
+        // `micro_fn`, i.e. to a kernel whose features the host has.
+        unsafe { (self.gather_fn)(operand.a, rows, offs, bp, acc) };
+    }
+}
+
+/// An operand a gathered fold reads in place: element `(row, p)` is `a[rows[row] + offs[p]]`.
+/// Construction proves every such read in bounds, once for all the folds over the operand.
+pub(super) struct Gather<'a> {
+    a: &'a [f32],
+    rows: &'a [usize],
+    offs: &'a [usize],
+}
+
+impl<'a> Gather<'a> {
+    /// Panics unless `rows[i] + offs[p] < a.len()` for every `i` and `p` (an empty table
+    /// makes the operand empty, which is fine: a fold over it reads nothing).
+    pub(super) fn new(a: &'a [f32], rows: &'a [usize], offs: &'a [usize]) -> Self {
+        if let (Some(row), Some(off)) = (rows.iter().max(), offs.iter().max()) {
+            assert!(
+                row.checked_add(*off).is_some_and(|last| last < a.len()),
+                "Gather: rows[i] + offs[p] must stay inside the operand"
+            );
+        }
+        Self { a, rows, offs }
     }
 }
 
@@ -463,31 +561,20 @@ pub(super) trait PanelOp {
 fn dispatch_tile(scheme: &TilingScheme, select: MicroSelect, op: impl PanelOp) {
     let kc = scheme.partition.kc;
     match (scheme.tile.mr, scheme.tile.nr) {
-        (4, 8) => {
-            let micro_fn: MicroFn<4, 8> = micro::microkernel_generic::<4, 8>;
-            op.run(PanelKernel { micro_fn, kc })
-        }
-        (8, 8) => {
-            let micro_fn = resolve_8x8(select);
-            op.run(PanelKernel { micro_fn, kc })
-        }
-        (16, 8) => {
-            let micro_fn = resolve_16x8(select);
-            op.run(PanelKernel { micro_fn, kc })
-        }
-        (16, 16) => {
-            let micro_fn = resolve_16x16(select);
-            op.run(PanelKernel { micro_fn, kc })
-        }
+        (4, 8) => op.run(PanelKernel::new(generic::<4, 8>(), kc)),
+        (8, 8) => op.run(PanelKernel::new(resolve_8x8(select), kc)),
+        (16, 8) => op.run(PanelKernel::new(resolve_16x8(select), kc)),
+        (16, 16) => op.run(PanelKernel::new(resolve_16x16(select), kc)),
         (mr, nr) => panic!("gemm: unsupported register tile {mr}x{nr}"),
     }
 }
 
-/// Runs `op` on the tile and micro-kernel the packed GEMM plan would use under the current
-/// knobs (`MERGESFL_MICROKERNEL`, `MERGESFL_TILING`) and host features.
-pub(super) fn with_panel_kernel(op: impl PanelOp) {
+/// Runs `op`, a product that fills `lanes` accumulator lanes, on the tile and micro-kernel
+/// the current knobs (`MERGESFL_MICROKERNEL`, `MERGESFL_TILING`) and host features give it
+/// (see [`panel_scheme`]).
+pub(super) fn with_panel_kernel(lanes: usize, op: impl PanelOp) {
     let select = micro_select();
-    dispatch_tile(&packed_scheme(select, Staging::Single), select, op);
+    dispatch_tile(&panel_scheme(select, lanes), select, op);
 }
 
 /// Runs one scheme over the row slice `c_rows` (rows `[row0, row0 + m_local)` of the full
@@ -611,10 +698,10 @@ impl<const TMR: usize, const TNR: usize> PanelKernel<TMR, TNR> {
     /// Folds one packed block into the C tiles it covers: `ap` holds the `TMR`-row panels
     /// of `mc_eff` rows, `bp` the `TNR`-column panels of `nc_eff` columns, both `kc_eff`
     /// deep, and the block starts at row `ic`, column `jc` of the row-major `[_, n]`
-    /// `c_rows`. Shared by the single- and double-stage drivers (and the convolution
-    /// weight gradient) so all accumulate in exactly the same order.
+    /// `c_rows`. Shared by the single- and double-stage drivers so both accumulate in
+    /// exactly the same order.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn fold_block(
+    fn fold_block(
         &self,
         ap: &[f32],
         bp: &[f32],
@@ -1353,5 +1440,111 @@ mod tests {
     fn random(len: usize) -> Vec<f32> {
         let mut rng = seeded(1);
         random_vec(&mut rng, len)
+    }
+
+    /// Folds one product through both entries of the handle it is dispatched — packed from
+    /// a packed copy, gathered in place, the last row tile ragged — and reports the handle.
+    struct Probe<'a>(&'a mut Option<(usize, usize, MicroKernelId)>);
+
+    impl PanelOp for Probe<'_> {
+        fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
+            let kc = 13;
+            let a = random(400);
+            let bp = random(kc * NR);
+            let rows: Vec<usize> = (0..MR + 3).map(|i| (i * 31) % 200).collect();
+            let offs: Vec<usize> = (0..kc).map(|p| (p * 67 + 9) % 200).collect();
+            let operand = Gather::new(&a, &rows, &offs);
+            for r0 in [0, MR] {
+                // Rows past the table read offset 0, like a packed panel padded with them.
+                let row = |i: usize| rows.get(r0 + i).copied().unwrap_or(0);
+                let ap: Vec<f32> = offs
+                    .iter()
+                    .flat_map(|off| (0..MR).map(move |i| (i, off)))
+                    .map(|(i, off)| a[row(i) + off])
+                    .collect();
+                let mut want = [[0.5f32; NR]; MR];
+                let mut got = want;
+                pk.fold(&ap, &bp, &mut want);
+                // Two k blocks continue one accumulator.
+                pk.fold_gather(&operand, r0, 0..5, &bp[..5 * NR], &mut got);
+                pk.fold_gather(&operand, r0, 5..kc, &bp[5 * NR..], &mut got);
+                assert_eq!(want, got, "{} {MR}x{NR}, rows from {r0}", pk.id.name());
+            }
+            *self.0 = Some((MR, NR, pk.id));
+        }
+    }
+
+    #[test]
+    fn every_selection_resolves_both_entries_to_one_kernel_or_the_generic_pair() {
+        // A forced kernel runs its own two bodies on its own tile and nowhere else: any
+        // other tile — the portable 4x8 always, which has no SIMD body — and a kernel the
+        // host lacks get the generic pair, so forcing (the `portable` CI cell included)
+        // can only ever swap one packed/gathered pair for another, on every host shape.
+        let forced = crate::kernels::ALL_MICRO_KERNELS.map(MicroSelect::Force);
+        for select in std::iter::once(MicroSelect::Auto).chain(forced) {
+            for tile in crate::kernels::tiling::SUPPORTED_TILES {
+                let scheme = TilingScheme::packed(tile, Staging::Single);
+                let mut seen = None;
+                dispatch_tile(&scheme, select, Probe(&mut seen));
+                let simd = crate::kernels::ALL_MICRO_KERNELS
+                    .into_iter()
+                    .skip(1)
+                    .find(|id| id.tile() == tile && select.allows(*id) && id.is_available());
+                let want = simd.unwrap_or(MicroKernelId::Portable);
+                assert_eq!(
+                    seen,
+                    Some((tile.mr, tile.nr, want)),
+                    "{select:?} on {tile:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay inside the operand")]
+    fn gather_rejects_a_table_pair_that_leaves_the_operand() {
+        // 4 + 6 is one past the last element, although no single entry is.
+        let a = random(10);
+        Gather::new(&a, &[0, 4], &[6, 1]);
+    }
+
+    /// Folds over an operand that has offsets but no rows (an empty batch): nothing may be
+    /// read, whatever the offsets say.
+    struct NoRows;
+
+    impl PanelOp for NoRows {
+        fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
+            let operand = Gather::new(&[], &[], &[3, 900]);
+            let mut acc = [[1.5f32; NR]; MR];
+            pk.fold_gather(&operand, 0, 0..2, &random(2 * NR), &mut acc);
+            assert_eq!(acc, [[1.5f32; NR]; MR]);
+        }
+    }
+
+    #[test]
+    fn fold_gather_over_an_operand_without_rows_reads_nothing() {
+        for tile in crate::kernels::tiling::SUPPORTED_TILES {
+            let scheme = TilingScheme::packed(tile, Staging::Single);
+            dispatch_tile(&scheme, MicroSelect::Auto, NoRows);
+        }
+    }
+
+    /// Calls `fold_gather` with a panel one element short.
+    struct ShortPanel;
+
+    impl PanelOp for ShortPanel {
+        fn run<const MR: usize, const NR: usize>(self, pk: PanelKernel<MR, NR>) {
+            let a = random(64);
+            let operand = Gather::new(&a, &[0, 1, 2], &[0, 8, 16]);
+            let mut acc = [[0.0f32; NR]; MR];
+            pk.fold_gather(&operand, 0, 0..3, &random(3 * NR - 1), &mut acc);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bp must be offs.len() x")]
+    fn fold_gather_rejects_a_panel_that_does_not_match_its_offsets() {
+        let scheme = TilingScheme::packed(TileSize { mr: 4, nr: 8 }, Staging::Single);
+        dispatch_tile(&scheme, MicroSelect::Auto, ShortPanel);
     }
 }

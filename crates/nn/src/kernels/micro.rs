@@ -17,10 +17,21 @@
 //! | `avx512` | `16×8` | x86-64 AVX-512F + AVX-512VL (runtime-detected) |
 //! | `avx512w` | `16×16` | x86-64 AVX-512F (full-width `zmm`, runtime-detected) |
 //!
-//! The shared signature is `unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR])`
-//! monomorphised per tile; the drivers in [`crate::kernels::gemm`] pick a
-//! function pointer per call based on the scheme's tile and the
-//! [`MicroSelect`] policy.
+//! Each kernel has two entries, both monomorphised per tile; the drivers in
+//! [`crate::kernels::gemm`] resolve the pair per call from the scheme's tile and
+//! the [`MicroSelect`] policy:
+//!
+//! | entry | signature | broadcast operand |
+//! |---|---|---|
+//! | packed (`microkernel`) | `unsafe fn(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR])` | `ap[p·MR + i]`, a packed `kc × MR` panel |
+//! | gathered (`gather`) | `unsafe fn(a: &[f32], rows: &[usize; MR], offs: &[usize], bp: &[f32], acc: &mut [[f32; NR]; MR])` | `a[rows[i] + offs[p]]`, read in place through two offset tables |
+//!
+//! The gathered entry is the packed one with its broadcast operand addressed
+//! instead of packed — `acc[i][j] += a[rows[i] + offs[p]] · bp[p·NR + j]`, `p`
+//! ascending over `offs`, the same separate multiply and add — so an operand
+//! whose rows are shifted views of one buffer (the patches of a convolution)
+//! never has to be copied into panels. A fold gives the same bits through
+//! either entry.
 
 use super::tiling::TileSize;
 
@@ -170,6 +181,35 @@ pub unsafe fn microkernel_generic<const TMR: usize, const TNR: usize>(
     }
 }
 
+/// The generic gathered micro-kernel: [`microkernel_generic`] with row `i` of the
+/// broadcast operand read in place as `a[rows[i] + offs[p]]`. `bp` is `offs.len() × TNR`,
+/// `p`-major.
+///
+/// Marked `unsafe fn` only to share a function-pointer type with the SIMD
+/// kernels; the body is safe code.
+///
+/// # Safety
+/// None of the SIMD kernels' preconditions apply: every read is bounds-checked (an
+/// offset pair past the end of `a` panics) and a short `bp` folds fewer updates, so
+/// calling this is always sound.
+pub unsafe fn gather_generic<const TMR: usize, const TNR: usize>(
+    a: &[f32],
+    rows: &[usize; TMR],
+    offs: &[usize],
+    bp: &[f32],
+    acc: &mut [[f32; TNR]; TMR],
+) {
+    for (&off, b_row) in offs.iter().zip(bp.chunks_exact(TNR)) {
+        let a_off = &a[off..];
+        for i in 0..TMR {
+            let av = a_off[rows[i]];
+            for j in 0..TNR {
+                acc[i][j] += av * b_row[j];
+            }
+        }
+    }
+}
+
 /// AVX micro-kernel: an `8×8` register tile of `__m256` mul+add (deliberately *not* FMA —
 /// fused multiply-add rounds once instead of twice and would break bit-identity with the
 /// naive oracle). Selected at runtime when the host supports AVX.
@@ -210,6 +250,48 @@ pub mod avx {
                 let a_col = a_ptr.add(p * MR);
                 for (i, ri) in r.iter_mut().enumerate() {
                     let a_bcast = _mm256_broadcast_ss(&*a_col.add(i));
+                    *ri = _mm256_add_ps(*ri, _mm256_mul_ps(a_bcast, b_row));
+                }
+            }
+            for (ri, row) in r.iter().zip(acc.iter_mut()) {
+                _mm256_storeu_ps(row.as_mut_ptr(), *ri);
+            }
+        }
+    }
+
+    /// The gathered entry: [`microkernel`] with row `i` of the broadcast operand read in
+    /// place as `a[rows[i] + offs[p]]` — same tile, same ascending-`p` mul+add sequence.
+    ///
+    /// # Safety
+    ///
+    /// Callers must guarantee [`super::MicroKernelId::Avx8x8`] reported available,
+    /// that `rows[i] + offs[p] < a.len()` for every `i` and `p`, and that `bp` holds
+    /// `offs.len() × NR` elements.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn gather(
+        a: &[f32],
+        rows: &[usize; MR],
+        offs: &[usize],
+        bp: &[f32],
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        debug_assert_eq!(bp.len(), offs.len() * NR);
+        // SAFETY: the `# Safety` contract above — AVX verified by the caller, so the
+        // intrinsics are available; every `a` read is at `rows[i] + offs[p]`, which the
+        // caller bounds by `a.len()`, every `bp` read inside its `offs.len() × NR`
+        // elements, and the unaligned load/store intrinsics have no alignment requirement.
+        unsafe {
+            let mut r = [_mm256_setzero_ps(); MR];
+            for (ri, row) in r.iter_mut().zip(acc.iter()) {
+                *ri = _mm256_loadu_ps(row.as_ptr());
+            }
+            let a_ptr = a.as_ptr();
+            let b_ptr = bp.as_ptr();
+            for (p, &off) in offs.iter().enumerate() {
+                let b_row = _mm256_loadu_ps(b_ptr.add(p * NR));
+                let a_col = a_ptr.add(off);
+                for (ri, &row) in r.iter_mut().zip(rows) {
+                    let a_bcast = _mm256_broadcast_ss(&*a_col.add(row));
                     *ri = _mm256_add_ps(*ri, _mm256_mul_ps(a_bcast, b_row));
                 }
             }
@@ -272,6 +354,49 @@ pub mod avx512 {
             }
         }
     }
+
+    /// The gathered entry: [`microkernel`] with row `i` of the broadcast operand read in
+    /// place as `a[rows[i] + offs[p]]` — same tile, same ascending-`p` mul+add sequence.
+    ///
+    /// # Safety
+    ///
+    /// Callers must guarantee [`super::MicroKernelId::Avx512_16x8`] reported available
+    /// (AVX-512F **and** AVX-512VL),
+    /// that `rows[i] + offs[p] < a.len()` for every `i` and `p`, and that `bp` holds
+    /// `offs.len() × NR` elements.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub unsafe fn gather(
+        a: &[f32],
+        rows: &[usize; MR],
+        offs: &[usize],
+        bp: &[f32],
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        debug_assert_eq!(bp.len(), offs.len() * NR);
+        // SAFETY: the `# Safety` contract above — AVX-512F+VL verified by the caller, so the
+        // intrinsics are available; every `a` read is at `rows[i] + offs[p]`, which the
+        // caller bounds by `a.len()`, every `bp` read inside its `offs.len() × NR`
+        // elements, and the unaligned load/store intrinsics have no alignment requirement.
+        unsafe {
+            let mut r = [_mm256_setzero_ps(); MR];
+            for (ri, row) in r.iter_mut().zip(acc.iter()) {
+                *ri = _mm256_loadu_ps(row.as_ptr());
+            }
+            let a_ptr = a.as_ptr();
+            let b_ptr = bp.as_ptr();
+            for (p, &off) in offs.iter().enumerate() {
+                let b_row = _mm256_loadu_ps(b_ptr.add(p * NR));
+                let a_col = a_ptr.add(off);
+                for (ri, &row) in r.iter_mut().zip(rows) {
+                    let a_bcast = _mm256_broadcast_ss(&*a_col.add(row));
+                    *ri = _mm256_add_ps(*ri, _mm256_mul_ps(a_bcast, b_row));
+                }
+            }
+            for (ri, row) in r.iter().zip(acc.iter_mut()) {
+                _mm256_storeu_ps(row.as_mut_ptr(), *ri);
+            }
+        }
+    }
 }
 
 /// AVX-512 wide micro-kernel: a `16×16` register tile, one full-width 16-lane
@@ -316,6 +441,48 @@ pub mod avx512w {
                 let a_col = a_ptr.add(p * MR);
                 for (i, ri) in r.iter_mut().enumerate() {
                     let a_bcast = _mm512_set1_ps(*a_col.add(i));
+                    *ri = _mm512_add_ps(*ri, _mm512_mul_ps(a_bcast, b_row));
+                }
+            }
+            for (ri, row) in r.iter().zip(acc.iter_mut()) {
+                _mm512_storeu_ps(row.as_mut_ptr(), *ri);
+            }
+        }
+    }
+
+    /// The gathered entry: [`microkernel`] with row `i` of the broadcast operand read in
+    /// place as `a[rows[i] + offs[p]]` — same tile, same ascending-`p` mul+add sequence.
+    ///
+    /// # Safety
+    ///
+    /// Callers must guarantee [`super::MicroKernelId::Avx512_16x16`] reported available,
+    /// that `rows[i] + offs[p] < a.len()` for every `i` and `p`, and that `bp` holds
+    /// `offs.len() × NR` elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gather(
+        a: &[f32],
+        rows: &[usize; MR],
+        offs: &[usize],
+        bp: &[f32],
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        debug_assert_eq!(bp.len(), offs.len() * NR);
+        // SAFETY: the `# Safety` contract above — AVX-512F verified by the caller, so the
+        // intrinsics are available; every `a` read is at `rows[i] + offs[p]`, which the
+        // caller bounds by `a.len()`, every `bp` read inside its `offs.len() × NR`
+        // elements, and the unaligned load/store intrinsics have no alignment requirement.
+        unsafe {
+            let mut r = [_mm512_setzero_ps(); MR];
+            for (ri, row) in r.iter_mut().zip(acc.iter()) {
+                *ri = _mm512_loadu_ps(row.as_ptr());
+            }
+            let a_ptr = a.as_ptr();
+            let b_ptr = bp.as_ptr();
+            for (p, &off) in offs.iter().enumerate() {
+                let b_row = _mm512_loadu_ps(b_ptr.add(p * NR));
+                let a_col = a_ptr.add(off);
+                for (ri, &row) in r.iter_mut().zip(rows) {
+                    let a_bcast = _mm512_set1_ps(*a_col.add(row));
                     *ri = _mm512_add_ps(*ri, _mm512_mul_ps(a_bcast, b_row));
                 }
             }
@@ -408,5 +575,78 @@ mod tests {
                 assert_eq!(want, got, "avx512w kernel diverged at kc={kc}");
             }
         }
+    }
+
+    /// Every gathered kernel the host can run — the generic one at all four tiles, the SIMD
+    /// ones at theirs — is bit-identical to the packed generic kernel fed a packed copy of
+    /// the rows it reads in place: repeated and zero row offsets, offsets that do not
+    /// ascend, a non-zero accumulator, and fold depths from none to many.
+    #[test]
+    fn gathered_kernels_match_the_packed_generic_on_a_packed_copy_bitwise() {
+        // SAFETY: only ever a gathered kernel of this module that the call sites below pass
+        // after `is_available()`; the one call through it states the remaining conditions.
+        #[rustfmt::skip]
+        type Gathered<const MR: usize, const NR: usize> = unsafe fn(&[f32], &[usize; MR], &[usize], &[f32], &mut [[f32; NR]; MR]);
+
+        fn check<const MR: usize, const NR: usize>(name: &str, gather: Gathered<MR, NR>) {
+            let a: Vec<f32> = (0..257)
+                .map(|i| ((i * 37 + 11) % 23) as f32 * 0.37 - 3.0)
+                .collect();
+            // Rows 0 and 1 coincide, row 2 sits at offset zero, the rest spread out.
+            let mut rows = [0usize; MR];
+            for (i, row) in rows.iter_mut().enumerate().skip(3) {
+                *row = (i * 29) % 97;
+            }
+            (rows[0], rows[1]) = (41, 41);
+            for kc in [0usize, 1, 2, 7, 64] {
+                let offs: Vec<usize> = (0..kc).map(|p| (p * 67 + 5) % 160).collect();
+                let bp: Vec<f32> = (0..kc * NR)
+                    .map(|i| ((i * 53 + 7) % 29) as f32 * 0.23 - 2.0)
+                    .collect();
+                let (a, rows) = (&a, &rows);
+                let ap: Vec<f32> = offs
+                    .iter()
+                    .flat_map(|off| rows.iter().map(move |row| a[row + off]))
+                    .collect();
+                let mut want = [[0.75f32; NR]; MR];
+                let mut got = want;
+                // SAFETY: the generic kernel is safe for any input; `gather` is either the
+                // generic gathered kernel (safe likewise) or a SIMD one whose features the
+                // caller verified, every `rows[i] + offs[p]` is below 97 + 160 = `a.len()`,
+                // and `bp` holds `kc × NR` elements.
+                unsafe {
+                    microkernel_generic::<MR, NR>(&ap, &bp, &mut want);
+                    gather(a, rows, &offs, &bp, &mut got);
+                }
+                assert_eq!(want, got, "{name} gathered kernel diverged at kc={kc}");
+            }
+        }
+        check::<4, 8>("generic 4x8", gather_generic::<4, 8>);
+        check::<8, 8>("generic 8x8", gather_generic::<8, 8>);
+        check::<16, 8>("generic 16x8", gather_generic::<16, 8>);
+        check::<16, 16>("generic 16x16", gather_generic::<16, 16>);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if MicroKernelId::Avx8x8.is_available() {
+                check::<{ avx::MR }, { avx::NR }>("avx", avx::gather);
+            }
+            if MicroKernelId::Avx512_16x8.is_available() {
+                check::<{ avx512::MR }, { avx512::NR }>("avx512", avx512::gather);
+            }
+            if MicroKernelId::Avx512_16x16.is_available() {
+                check::<{ avx512w::MR }, { avx512w::NR }>("avx512w", avx512w::gather);
+            }
+        }
+    }
+
+    /// The generic gathered kernel is safe code: an offset pair past the operand panics
+    /// instead of reading.
+    #[test]
+    #[should_panic]
+    fn generic_gathered_kernel_panics_past_the_operand() {
+        let (a, bp) = ([1.0f32; 8], [1.0f32; 8]);
+        let mut acc = [[0.0f32; 8]; 4];
+        // SAFETY: the generic kernel has no preconditions; it bounds-checks every read.
+        unsafe { gather_generic::<4, 8>(&a, &[0, 1, 2, 7], &[1], &bp, &mut acc) };
     }
 }

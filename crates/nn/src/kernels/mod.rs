@@ -15,9 +15,10 @@
 //!   [`gemm`] execute whatever plan they are handed — including double-buffered
 //!   multi-stage execution, where a persistent packer thread overlaps the next stage's
 //!   packing with the current stage's compute. Convolutions ([`conv`]) run the same
-//!   micro-kernels over panels they pack straight from the NCHW tensors — one batch-wide
-//!   product per layer, no patch matrix — and intra-op parallelism fans row panels (GEMM)
-//!   or image ranges (conv forward) out through the rayon shim.
+//!   micro-kernels through their *gathered* entry, which reads one operand in place
+//!   through two offset tables over a once-staged, zero-padded input — one batch-wide
+//!   product per layer, no patch matrix and no patch panel — and intra-op parallelism fans
+//!   row panels (GEMM) or image ranges (conv forward) out through the rayon shim.
 //!
 //! Both backends are deterministic, and the blocked kernels accumulate every output element
 //! in exactly the same ascending-`k` order as the naive loops (the micro-kernel loads the
@@ -56,7 +57,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelBackend {
     /// The original triple-loop matmul and direct convolution nests (test oracle).
     Naive,
-    /// Cache-blocked, register-tiled GEMM and panel-packed convolution (default).
+    /// Cache-blocked, register-tiled GEMM and gathered-operand convolution (default).
     #[default]
     Blocked,
 }

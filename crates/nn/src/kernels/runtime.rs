@@ -27,6 +27,9 @@
 //!    (AVX-512 wide `16×16` → AVX-512 `16×8` → AVX `8×8` → portable `4×8`);
 //!    staging is double-buffered when a spare core exists, single-stage
 //!    otherwise.
+//! 5. The convolutions, which bring their own operands, take the same packed
+//!    scheme single-stage ([`panel_scheme`]) — on the 8-lane tile instead of
+//!    the 16-lane one when the product has at most eight lanes to fill.
 //!
 //! Two knobs adjust the plan (env or `RunConfig`): `MERGESFL_MICROKERNEL`
 //! (`portable`/`avx`/`avx512`/`avx512w` — unavailable kernels are ignored) and
@@ -174,10 +177,32 @@ pub fn runtime() -> &'static dyn Runtime {
 }
 
 /// The packed scheme of the current knobs: the preferred tile of `micro`, default cache
-/// blocking, `MERGESFL_TILING` applied on top. Shared by [`CpuRuntime::select`] and the
-/// convolution panel drivers, so both honour the same overrides.
-pub(super) fn packed_scheme(micro: MicroSelect, stage: Staging) -> TilingScheme {
-    let mut scheme = TilingScheme::packed(preferred_tile(micro), stage);
+/// blocking, `MERGESFL_TILING` applied on top.
+fn packed_scheme(micro: MicroSelect, stage: Staging) -> TilingScheme {
+    scheme_for(preferred_tile(micro), stage)
+}
+
+/// The scheme of a panel driver that brings its own operands (the convolutions) and fills
+/// `lanes` accumulator lanes: [`packed_scheme`]'s, single-stage, so both honour the same
+/// overrides — except that an automatic selection that has no more than eight lanes to
+/// fill (a `c_out ≤ 8` convolution) takes the 8-lane tile of the same height instead of
+/// the 16-lane one: full 256-bit vectors beat half-empty 512-bit ones (0.8× the time on
+/// the zoo's first layers). A forced micro-kernel and `MERGESFL_TILING`'s tile still win.
+pub(super) fn panel_scheme(micro: MicroSelect, lanes: usize) -> TilingScheme {
+    let (wide, narrow) = (MicroKernelId::Avx512_16x16, MicroKernelId::Avx512_16x8);
+    let mut tile = preferred_tile(micro);
+    if micro == MicroSelect::Auto
+        && tile == wide.tile()
+        && lanes <= narrow.tile().nr
+        && narrow.is_available()
+    {
+        tile = narrow.tile();
+    }
+    scheme_for(tile, Staging::Single)
+}
+
+fn scheme_for(tile: TileSize, stage: Staging) -> TilingScheme {
+    let mut scheme = TilingScheme::packed(tile, stage);
     tiling_override().apply(&mut scheme);
     scheme.validate();
     scheme
@@ -529,6 +554,40 @@ mod tests {
         }
         clear_overrides();
         assert_eq!(micro_select(), MicroSelect::Auto);
+    }
+
+    #[test]
+    fn panel_schemes_narrow_the_tile_for_lane_starved_products_only_when_automatic() {
+        let _guard = lock();
+        clear_overrides();
+        let (wide, narrow) = (MicroKernelId::Avx512_16x16, MicroKernelId::Avx512_16x8);
+        // Enough lanes: the packed scheme's tile, single-stage, on any host.
+        let full = panel_scheme(MicroSelect::Auto, 16);
+        assert_eq!(full, packed_scheme(MicroSelect::Auto, Staging::Single));
+        assert_eq!(panel_scheme(MicroSelect::Auto, 9), full);
+        // Eight lanes or fewer: the 8-lane tile where the 16-lane one was the choice.
+        let starved = panel_scheme(MicroSelect::Auto, 8);
+        if wide.is_available() && narrow.is_available() {
+            assert_eq!((full.tile, starved.tile), (wide.tile(), narrow.tile()));
+        } else {
+            assert_eq!(starved, full);
+        }
+        assert_eq!(panel_scheme(MicroSelect::Auto, 1), starved);
+        // A forced kernel and an overridden tile are obeyed whatever the lane count.
+        for id in crate::kernels::ALL_MICRO_KERNELS {
+            if id.is_available() {
+                assert_eq!(panel_scheme(MicroSelect::Force(id), 6).tile, id.tile());
+            }
+        }
+        set_tiling_override(TilingOverride {
+            tile: Some(TileSize { mr: 8, nr: 8 }),
+            kc: Some(5),
+            ..TilingOverride::default()
+        });
+        let overridden = panel_scheme(MicroSelect::Auto, 6);
+        assert_eq!(overridden.tile, TileSize { mr: 8, nr: 8 });
+        assert_eq!(overridden.partition.kc, 5);
+        clear_overrides();
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::Rng;
 
 /// A 1-D convolution over `[batch, in_channels, length]` inputs.
 ///
-/// Runs through [`crate::kernels::conv`] as a height-1 2-D convolution: a panel-packed
+/// Runs through [`crate::kernels::conv`] as a height-1 2-D convolution: the gathered
 /// blocked kernel by default, or the original direct loop nest under
 /// [`kernels::KernelBackend::Naive`].
 pub struct Conv1d {

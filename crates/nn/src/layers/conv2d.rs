@@ -9,7 +9,7 @@ use rand::Rng;
 /// A 2-D convolution over `[batch, in_channels, height, width]` inputs.
 ///
 /// Square kernels, symmetric zero padding, configurable stride. Forward and backward run
-/// through [`crate::kernels::conv`]: a panel-packed blocked kernel by default, or the
+/// through [`crate::kernels::conv`]: the gathered blocked kernel by default, or the
 /// original direct loop nest under [`kernels::KernelBackend::Naive`].
 pub struct Conv2d {
     in_channels: usize,

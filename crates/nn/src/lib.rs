@@ -6,7 +6,7 @@
 //! * [`Tensor`] — a dense row-major `f32` tensor with the operations the layers need
 //!   (matmul, broadcasting add, batch concatenation/segmentation, reductions).
 //! * [`kernels`] — the compute kernels behind the hot path: cache-blocked, register-tiled
-//!   GEMM with packed panels, panel-packed convolutions and pooling kernels, with the
+//!   GEMM with packed panels, gathered-operand convolutions and pooling kernels, with the
 //!   original naive loops kept as a selectable oracle backend ([`kernels::KernelBackend`]).
 //! * [`layers`] — feed-forward layers with exact manual backward passes: [`layers::Linear`],
 //!   [`layers::Conv2d`], [`layers::Conv1d`], [`layers::MaxPool2d`], [`layers::MaxPool1d`],

@@ -1,6 +1,6 @@
 //! Property tests: the blocked kernel backend against the naive oracle.
 //!
-//! The blocked GEMM and the panel-packed convolution accumulate every output element,
+//! The blocked GEMM and the gathered-operand convolution accumulate every output element,
 //! weight gradient and bias gradient in exactly the same ascending-`k` order as the naive
 //! loop nests, so those results must be **bit-identical** across backends on finite inputs.
 //! The one reassociated reduction — the conv input gradient, which sums kernel taps per
@@ -12,8 +12,8 @@
 
 use mergesfl_nn::kernels::conv::{conv_backward, conv_forward, ConvGeom};
 use mergesfl_nn::kernels::{
-    gemm_cfg, gemm_with_scheme, runtime, Epilogue, GemmPlan, KernelBackend, MicroSelect,
-    PartitionSize, Staging, TilingScheme, Trans, ALL_MICRO_KERNELS,
+    gemm_cfg, gemm_with_scheme, runtime, set_micro_override, Epilogue, GemmPlan, KernelBackend,
+    MicroSelect, PartitionSize, Staging, TilingScheme, Trans, ALL_MICRO_KERNELS,
 };
 use proptest::prelude::*;
 
@@ -214,6 +214,28 @@ fn conv_empty_batch() {
         assert!(gi.is_empty());
         assert!(gw.iter().chain(gb.iter()).all(|&v| v == 0.0));
     }
+}
+
+/// The convolutions fold through the gathered entry of whichever micro-kernel is selected:
+/// forced one by one — `portable`, the generic gathered kernel, runs on every host, and a
+/// kernel the CPU lacks falls back to the automatic choice — each must match the naive
+/// oracle on the zoo's stage shapes, ragged lane counts and small padded images included.
+/// (The override is process-wide; tests running beside this one only ever see a different,
+/// bit-identical kernel.)
+#[test]
+fn conv_matches_naive_under_every_forced_micro_kernel() {
+    let pool: Vec<f32> = (0..POOL).map(|i| (i as f32 * 0.173).sin()).collect();
+    for id in ALL_MICRO_KERNELS {
+        set_micro_override(Some(id));
+        check_conv_parity(ConvGeom::conv2d(3, 3, 8, 8, 8, 3, 1, 1), &pool);
+        check_conv_parity(ConvGeom::conv2d(2, 6, 6, 6, 12, 3, 1, 1), &pool);
+        check_conv_parity(ConvGeom::conv2d(5, 12, 3, 3, 12, 3, 1, 1), &pool);
+        check_conv_parity(ConvGeom::conv2d(9, 16, 1, 1, 16, 3, 1, 1), &pool);
+        check_conv_parity(ConvGeom::conv2d(2, 2, 7, 5, 6, 3, 2, 0), &pool);
+        check_conv_parity(ConvGeom::conv1d(3, 1, 64, 8, 5, 1, 2), &pool);
+        check_conv_parity(ConvGeom::conv1d(2, 12, 16, 16, 3, 1, 1), &pool);
+    }
+    set_micro_override(None);
 }
 
 /// The whole-layer view: a Linear forward/backward pass produces identical parameter
