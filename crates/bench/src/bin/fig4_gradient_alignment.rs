@@ -4,9 +4,9 @@
 //! the resulting top-model updates to the centralized update quantifies what the paper's
 //! PCA visualisation shows: feature merging keeps the top model on the IID trajectory.
 
-use mergesfl::sfl::{FeatureUpload, TopModelShard, TopShard};
+use mergesfl::sfl::{FeatureUpload, ShardedServer};
 use mergesfl_data::{synth, DatasetKind};
-use mergesfl_nn::{zoo, Sgd, SoftmaxCrossEntropy, Tensor};
+use mergesfl_nn::{zoo, Sequential, Sgd, SoftmaxCrossEntropy, Tensor};
 
 fn delta(before: &[f32], after: &[f32]) -> Tensor {
     Tensor::from_vec(
@@ -56,8 +56,9 @@ fn main() {
     let run_sfl = |merged: bool| -> Tensor {
         let split = zoo::build(spec.architecture, spec.num_classes, 99).into_split();
         let top_before = split.top.state();
-        let mut shard = TopShard::new(split.top);
-        shard.set_lr(0.1);
+        // One shard evaluates through its own replica, so no evaluation replica is needed.
+        let mut server = ShardedServer::new(vec![split.top], Sequential::new(), Vec::new(), 1);
+        server.set_lr(0.1);
         let mut bottoms: Vec<_> = (0..3)
             .map(|_| {
                 zoo::build(spec.architecture, spec.num_classes, 99)
@@ -72,11 +73,11 @@ fn main() {
             .collect();
         let refs: Vec<&FeatureUpload> = uploads.iter().collect();
         if merged {
-            shard.process_merged(&refs);
+            server.process_merged(0, &refs);
         } else {
-            shard.process_sequential(&refs);
+            server.process_sequential(0, &refs);
         }
-        delta(&top_before, &shard.state())
+        delta(&top_before, &server.top_state())
     };
 
     let fm_delta = run_sfl(true);

@@ -81,8 +81,8 @@ pub struct RunConfig {
     /// default) the engine is the single-server loop; with more, the layout is decided by
     /// [`RunConfig::topology`]: replicated shards each train a full replica on the cohort
     /// members routed to them (averaged every [`RunConfig::sync_every`] rounds), while
-    /// output-partitioned shards each own a slice of the classifier (capped at the class
-    /// count) and jointly compute the exact global step. Either way the planner budgets
+    /// under output partitioning the count (capped at the class count) only sets the
+    /// simulated clock and traffic of one exact top model. Either way the planner budgets
     /// the cohort against the aggregate `S·B^h` ingress capacity. Constructors honour the
     /// `MERGESFL_NUM_SERVERS` environment variable.
     pub num_servers: usize,
@@ -94,10 +94,11 @@ pub struct RunConfig {
     pub sync_every: usize,
     /// How the top model is laid out across the `num_servers` parameter-server instances:
     /// `Replicated` (each shard trains a full replica on its routed uploads, periodically
-    /// averaged) or `OutputPartitioned` (each shard owns a contiguous slice of the
-    /// classifier's output dimension and exchanges partial activations every iteration —
-    /// exact, no sync staleness). Constructors honour the `MERGESFL_TOPOLOGY`
-    /// environment variable (`replicated` / `partitioned`).
+    /// averaged) or `OutputPartitioned` — a timing and traffic model over one top model:
+    /// the trajectory is the single server's, while each instance is charged `1/S` of the
+    /// server step plus a per-iteration activation exchange on the server interconnect.
+    /// Constructors honour the `MERGESFL_TOPOLOGY` environment variable (`replicated` /
+    /// `partitioned`; any other non-empty value panics).
     pub topology: ShardTopology,
     /// Bounded-staleness window `k`: each top-model shard may compute its split-layer
     /// gradients on parameter state up to `k` optimizer steps older than the state the
@@ -221,15 +222,27 @@ pub fn tiling_from_env() -> TilingOverride {
         .unwrap_or_default()
 }
 
-/// Reads the server topology from the `MERGESFL_TOPOLOGY` environment variable
-/// (`replicated`, `partitioned` / `output-partitioned`); unset, empty or unknown values
-/// keep the replicated default.
+/// Reads the server topology from the `MERGESFL_TOPOLOGY` environment variable; see
+/// `parse_topology_setting`.
 pub fn topology_from_env() -> ShardTopology {
     // Qualified path: the env-read lint treats a bare `env::var` as a raw read
     // (it cannot see imports), so helper calls spell the crate out.
-    mergesfl_nn::env::var("MERGESFL_TOPOLOGY")
-        .and_then(|v| ShardTopology::parse(&v))
-        .unwrap_or_default()
+    parse_topology_setting(mergesfl_nn::env::var("MERGESFL_TOPOLOGY").as_deref())
+}
+
+/// Parses a `MERGESFL_TOPOLOGY` setting. Unset or empty means replicated; any other value
+/// must name a topology (`replicated`, `partitioned` / `output-partitioned`) — a mistyped
+/// one panics instead of silently running the default layout.
+fn parse_topology_setting(setting: Option<&str>) -> ShardTopology {
+    match setting.map(str::trim) {
+        None | Some("") => ShardTopology::default(),
+        Some(name) => ShardTopology::parse(name).unwrap_or_else(|| {
+            panic!(
+                "MERGESFL_TOPOLOGY={name:?} is not a server topology; \
+                 accepted values: replicated, partitioned, output-partitioned"
+            )
+        }),
+    }
 }
 
 impl RunConfig {
@@ -500,6 +513,30 @@ mod tests {
             c.staleness = k;
             c.validate();
         }
+    }
+
+    #[test]
+    fn topology_setting_parses_the_accepted_names() {
+        assert_eq!(parse_topology_setting(None), ShardTopology::Replicated);
+        assert_eq!(parse_topology_setting(Some("")), ShardTopology::Replicated);
+        assert_eq!(
+            parse_topology_setting(Some("replicated")),
+            ShardTopology::Replicated
+        );
+        assert_eq!(
+            parse_topology_setting(Some("partitioned")),
+            ShardTopology::OutputPartitioned
+        );
+        assert_eq!(
+            parse_topology_setting(Some("output-partitioned")),
+            ShardTopology::OutputPartitioned
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted values: replicated, partitioned, output-partitioned")]
+    fn mistyped_topology_setting_fails_loudly() {
+        parse_topology_setting(Some("partitoned"));
     }
 
     #[test]

@@ -236,9 +236,9 @@ impl SflEngine {
                 }
                 ShardedServer::new(tops, eval_top, global_bottom, config.sync_every)
             }
-            // Output-partitioned: one top model whose classifier is sliced across the
-            // instances (capped at the class count); every instance sees the full
-            // cohort's merged batch and exchanges partial activations within the step.
+            // Output-partitioned: one top model and one route group over the full cohort;
+            // the instance count (capped at the class count) only sets the clock and
+            // traffic charge of `round_timing` and the exchange meter.
             ShardTopology::OutputPartitioned => {
                 ShardedServer::partitioned(split.top, eval_top, global_bottom, config.num_servers)
             }
@@ -701,9 +701,8 @@ impl SflEngine {
         // the calibrated throughput. Replicated shards step on their routed sub-batch;
         // output-partitioned shards each carry a `1/S` column slice of the full merged
         // step — the ideal whole-head tensor-parallel division (every top layer
-        // column-partitioned), which the functional simulation realises only at the
-        // final layer; see the `PartitionedShard` docs and the ROADMAP item on making
-        // the trunk division real — plus the per-iteration activation-exchange
+        // column-partitioned; a column split computes the same numbers, so the step
+        // itself runs on one top model) — plus the per-iteration activation-exchange
         // collective over the server interconnect that replaces the replicated
         // topology's periodic state sync. In the barrier schedule the slowest
         // shard's segment serialises with worker compute every iteration; pipelined,

@@ -1,22 +1,22 @@
 //! Parameter-server side of split federated learning, sharded across PS instances.
 //!
-//! The top model lives on one or more parameter-server shards. [`TopModelShard`] is the
-//! seam one PS instance implements: per iteration it either processes one *merged*
-//! feature sequence (MergeSFL) or the features of each routed worker separately (typical
-//! SFL), producing the split-layer gradients that are dispatched back. [`TopShard`] is
-//! the concrete replica used by the replicated topology; the trait seam keeps
-//! output-partitioned sharding (each shard owning a slice of the classifier) open.
+//! The top model lives on one or more parameter-server shards. A `TopShard` is one
+//! top-model replica: per iteration it runs the forward/backward pass over a merged
+//! feature sequence and produces the split-layer gradients that are dispatched back.
 //!
 //! [`ShardedServer`] is the subsystem the engine drives: it routes per-shard work to the
-//! shard instances, periodically synchronises the replicas (averaging weighted by the
-//! samples each shard processed since the last sync), owns the global bottom model that
-//! is aggregated from the workers at the end of a round (paper Eq. 17 / Eq. 4), and
-//! evaluates the combined global model. With one shard it is exactly the paper's
-//! single-server loop: work is routed to the only replica and synchronisation is a no-op,
-//! so trajectories are bit-identical to the pre-sharding engine.
+//! shard instances — either one *merged* feature sequence per iteration (MergeSFL) or the
+//! features of each routed worker separately (typical SFL) — periodically synchronises the
+//! replicas (averaging weighted by the samples each shard processed since the last sync),
+//! owns the global bottom model that is aggregated from the workers at the end of a round
+//! (paper Eq. 17 / Eq. 4), and evaluates the combined global model. With one shard it is
+//! exactly the paper's single-server loop: work is routed to the only replica and
+//! synchronisation is a no-op, so trajectories are bit-identical to the pre-sharding
+//! engine. The output-partitioned topology is a timing and traffic model over that same
+//! single top model: it records how many instances share the step, and the engine charges
+//! the `1/S` server step and the activation exchange; the arithmetic is one `TopShard`.
 
 use crate::sfl::merge::{dispatch_gradients, merge_feature_refs, FeatureUpload, MergedBatch};
-use mergesfl_nn::kernels::{self, Epilogue};
 use mergesfl_nn::model::weighted_average_states;
 use mergesfl_nn::{Sequential, Sgd, SoftmaxCrossEntropy, Tensor};
 use rayon::channel::VersionedSlot;
@@ -37,78 +37,8 @@ pub struct TopStep {
     pub gradients: Vec<(usize, Tensor)>,
 }
 
-/// One parameter-server instance holding (a partition of) the top model: the seam the
-/// sharded server routes iteration work through.
-///
-/// The replicated topology's [`TopShard`] holds a full replica; an output-partitioned
-/// implementation would hold a slice of the classifier and exchange partial logits
-/// instead of synchronising states — the trait's state accessors are what the periodic
-/// cross-shard sync of the replicated topology uses, and are also how tests and the
-/// evaluation path observe shard parameters.
-pub trait TopModelShard: Send {
-    /// Sets the learning rate used for this shard's top-model updates.
-    fn set_lr(&mut self, lr: f32);
-
-    /// The gradient-dispatch-critical part of one top-model update: merged-batch forward,
-    /// loss, backward, and split-layer gradient dispatching. The returned gradients can
-    /// be shipped to the routed workers immediately; the pipelined engine overlaps the
-    /// remaining [`TopModelShard::finish_step`] with the workers' bottom-backward and
-    /// next forward.
-    fn begin_step(&mut self, merged: &MergedBatch) -> TopStep;
-
-    /// The overlappable tail of one top-model update: the optimizer step on the gradients
-    /// accumulated by [`TopModelShard::begin_step`]. Must be called exactly once per
-    /// `begin_step` before the next iteration's features are processed.
-    fn finish_step(&mut self);
-
-    /// Serialises this shard's top-model parameters.
-    fn state(&self) -> Vec<f32>;
-
-    /// Loads top-model parameters (the cross-shard sync writes the averaged state back).
-    fn load_state(&mut self, state: &[f32]);
-
-    /// Inference-mode forward pass through this shard's top model (evaluation only —
-    /// no gradients are accumulated). A single-shard server evaluates through its one
-    /// replica directly instead of copying state into the evaluation replica.
-    fn eval_forward(&mut self, features: &Tensor) -> Tensor;
-
-    /// Processes routed uploads **with feature merging**: one forward/backward pass over
-    /// the mixed feature sequence, then gradient dispatching.
-    fn process_merged(&mut self, uploads: &[&FeatureUpload]) -> TopStep {
-        let merged = merge_feature_refs(uploads);
-        let step = self.begin_step(&merged);
-        self.finish_step();
-        step
-    }
-
-    /// Processes routed uploads **without feature merging** (typical SFL): the shard's
-    /// top model is updated once per routed worker, in sequence, each update using only
-    /// that worker's features.
-    fn process_sequential(&mut self, uploads: &[&FeatureUpload]) -> TopStep {
-        assert!(!uploads.is_empty(), "process_sequential: no uploads");
-        let mut gradients = Vec::with_capacity(uploads.len());
-        let mut loss_sum = 0.0f32;
-        let mut acc_sum = 0.0f32;
-        let mut samples = 0usize;
-        for upload in uploads {
-            let single = merge_feature_refs(std::slice::from_ref(upload));
-            let step = self.begin_step(&single);
-            self.finish_step();
-            loss_sum += step.loss * upload.batch_size() as f32;
-            acc_sum += step.accuracy * upload.batch_size() as f32;
-            samples += upload.batch_size();
-            gradients.extend(step.gradients);
-        }
-        TopStep {
-            loss: loss_sum / samples as f32,
-            accuracy: acc_sum / samples as f32,
-            gradients,
-        }
-    }
-}
-
-/// A full top-model replica on one PS instance (the replicated topology's shard).
-pub struct TopShard {
+/// A full top-model replica on one PS instance.
+pub(crate) struct TopShard {
     top: Sequential,
     optimizer: Sgd,
     loss: SoftmaxCrossEntropy,
@@ -127,14 +57,18 @@ impl TopShard {
             loss: SoftmaxCrossEntropy::new(),
         }
     }
-}
 
-impl TopModelShard for TopShard {
-    fn set_lr(&mut self, lr: f32) {
+    /// Sets the learning rate used for this shard's top-model updates.
+    pub fn set_lr(&mut self, lr: f32) {
         self.optimizer.set_lr(lr);
     }
 
-    fn begin_step(&mut self, merged: &MergedBatch) -> TopStep {
+    /// The gradient-dispatch-critical part of one top-model update: merged-batch forward,
+    /// loss, backward, and split-layer gradient dispatching. The returned gradients can
+    /// be shipped to the routed workers immediately; the pipelined engine overlaps the
+    /// remaining [`TopShard::finish_step`] with the workers' bottom-backward and next
+    /// forward.
+    pub fn begin_step(&mut self, merged: &MergedBatch) -> TopStep {
         self.top.zero_grad();
         let logits = self.top.forward(&merged.features, true);
         let out = self.loss.forward(&logits, &merged.labels);
@@ -147,20 +81,28 @@ impl TopModelShard for TopShard {
         }
     }
 
-    fn finish_step(&mut self) {
+    /// The overlappable tail of one top-model update: the optimizer step on the gradients
+    /// accumulated by [`TopShard::begin_step`]. Must be called exactly once per
+    /// `begin_step` before the next iteration's features are processed.
+    pub fn finish_step(&mut self) {
         self.optimizer.step(&mut self.top);
         self.top.zero_grad();
     }
 
-    fn state(&self) -> Vec<f32> {
+    /// Serialises this shard's top-model parameters.
+    pub fn state(&self) -> Vec<f32> {
         self.top.state()
     }
 
-    fn load_state(&mut self, state: &[f32]) {
+    /// Loads top-model parameters (the cross-shard sync writes the averaged state back).
+    pub fn load_state(&mut self, state: &[f32]) {
         self.top.load_state(state);
     }
 
-    fn eval_forward(&mut self, features: &Tensor) -> Tensor {
+    /// Inference-mode forward pass through this shard's top model (evaluation only —
+    /// no gradients are accumulated). A single-shard server evaluates through its one
+    /// replica directly instead of copying state into the evaluation replica.
+    pub fn eval_forward(&mut self, features: &Tensor) -> Tensor {
         self.top.forward(features, false)
     }
 }
@@ -172,10 +114,13 @@ pub enum ShardTopology {
     /// are averaged at the periodic cross-shard sync.
     #[default]
     Replicated,
-    /// Each shard owns a contiguous slice of the classifier's output dimension, runs on
-    /// the full merged batch every iteration, and exchanges partial activations (logit
-    /// all-gather before softmax/loss, gradient-slice scatter back) instead of whole-model
-    /// state. The global trajectory is exact: no replica averaging, no sync staleness.
+    /// The modelled deployment splits the top model's output dimension across the
+    /// instances (capped at the class count): one route group sees the full cohort's
+    /// merged batch, each instance is charged `1/S` of the server step plus a
+    /// per-iteration activation exchange, and the exchange bytes are metered as server
+    /// traffic. A column split computes the same numbers as the whole model, so the
+    /// step itself runs as one ordinary top model — the trajectory equals the single
+    /// server's, with no replica averaging and no sync staleness.
     OutputPartitioned,
 }
 
@@ -200,357 +145,14 @@ impl ShardTopology {
     }
 }
 
-/// One parameter-server instance's share of the output-partitioned classifier: the
-/// contiguous class range `[lo, hi)` with the matching rows of the `[classes, in]` weight
-/// matrix and entries of the bias (rows of the row-major weight are classes, so a class
-/// slice is a contiguous block of the flat parameter vector). The slice carries its own
-/// gradient buffers — in a real deployment these never leave the shard's machine.
-struct ClassifierSlice {
-    lo: usize,
-    hi: usize,
-    weight: Vec<f32>,
-    bias: Vec<f32>,
-    grad_w: Vec<f32>,
-    grad_b: Vec<f32>,
-}
-
-impl ClassifierSlice {
-    fn width(&self) -> usize {
-        self.hi - self.lo
-    }
-}
-
-/// The output-partitioned parameter-server ensemble behind the [`TopModelShard`] seam.
-///
-/// Each of the `S` shards owns a contiguous slice of the classifier's output dimension;
-/// the layers below the classifier (the *trunk*) stay bit-identical on every shard, so
-/// the simulation materialises them once. (The *timing* model charges the ideal
-/// output-parallel division of the whole top-model head — every layer column-partitioned
-/// Megatron-style, `1/S` of the step per shard — which is also mathematically exact;
-/// the functional simulation slices only the final layer because that is already
-/// sufficient for bit-exactness, the hidden layers' column partition being
-/// arithmetically transparent. Making the parameter-level trunk division real is a
-/// recorded ROADMAP item.) One iteration runs exactly the tensor-parallel schedule:
-///
-/// 1. every shard runs the trunk forward on the full merged feature batch;
-/// 2. every shard computes its **partial logits** `h · W_s^T + b_s` for its class slice;
-/// 3. the partial logits are **all-gathered** into the full logit matrix, softmax/loss
-///    runs on the gathered logits;
-/// 4. the logit gradient is **scattered** back: each shard takes its class columns and
-///    computes its own weight/bias gradient slices locally;
-/// 5. the per-shard partial trunk gradients are **all-reduced** (evaluated here in
-///    canonical class order — one GEMM against the gathered weight — so the sum carries
-///    the exact bits of the unsharded backward rather than a reassociated float sum);
-/// 6. the gradient-clipping norm (a scalar all-reduce across shards in a real system) is
-///    folded in canonical full-model parameter order, and every shard applies the same
-///    plain-SGD update to its slice while the trunk takes the identical full update.
-///
-/// Because every combining step evaluates the mathematically identical sum in the
-/// unsharded operation order, the ensemble's trajectory is **bit-identical** to a single
-/// [`TopShard`] — the property the topology-parity tests pin. The per-shard slice GEMMs
-/// themselves are bitwise exact by the kernel contract (every backend computes each
-/// output element as the same k-ordered fold, so a column block of the full GEMM equals
-/// the narrow GEMM over the owned rows).
-pub struct PartitionedShard {
-    trunk: Sequential,
-    in_features: usize,
-    classes: usize,
-    slices: Vec<ClassifierSlice>,
-    lr: f32,
-    loss: SoftmaxCrossEntropy,
-}
-
-impl PartitionedShard {
-    /// Partitions a full top model across `num_shards` output slices. The model must end
-    /// in a `Linear` classifier; the slice count is capped at the class count (a shard
-    /// cannot own less than one output column). Slices are contiguous and balanced: the
-    /// first `classes % shards` slices own one extra class.
-    pub fn new(top: Sequential, num_shards: usize) -> Self {
-        assert!(
-            !top.is_empty(),
-            "PartitionedShard: top model must have layers"
-        );
-        assert!(
-            top.layer_names().last() == Some(&"Linear"),
-            "PartitionedShard: top model must end in a Linear classifier"
-        );
-        let classifier_index = top.num_layers() - 1;
-        let (trunk, classifier) = top.split_at(classifier_index);
-        let params = classifier.params();
-        let weight_shape = params[0].value.shape().to_vec();
-        let (classes, in_features) = (weight_shape[0], weight_shape[1]);
-        let weight = params[0].value.data();
-        let bias = params[1].value.data();
-
-        let shards = num_shards.max(1).min(classes);
-        let base = classes / shards;
-        let extra = classes % shards;
-        let mut slices = Vec::with_capacity(shards);
-        let mut lo = 0usize;
-        for s in 0..shards {
-            let width = base + usize::from(s < extra);
-            let hi = lo + width;
-            slices.push(ClassifierSlice {
-                lo,
-                hi,
-                weight: weight[lo * in_features..hi * in_features].to_vec(),
-                bias: bias[lo..hi].to_vec(),
-                grad_w: vec![0.0; width * in_features],
-                grad_b: vec![0.0; width],
-            });
-            lo = hi;
-        }
-        Self {
-            trunk,
-            in_features,
-            classes,
-            slices,
-            // Matches TopShard's optimizer default; the engine overrides it every round.
-            lr: 0.05,
-            loss: SoftmaxCrossEntropy::new(),
-        }
-    }
-
-    /// Number of classifier slices (parameter-server instances) in the ensemble.
-    pub fn num_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// The contiguous class range owned by one slice.
-    pub fn slice_range(&self, slice: usize) -> std::ops::Range<usize> {
-        self.slices[slice].lo..self.slices[slice].hi
-    }
-
-    /// The all-gather of the partial logits: every slice's `h · W_s^T + b_s` block
-    /// written into its class columns of the full `[batch, classes]` logit matrix.
-    fn gathered_logits(&self, h: &Tensor) -> Tensor {
-        let batch = h.shape()[0];
-        let backend = kernels::default_backend();
-        // The slices partition [0, classes), so every element of `full` is overwritten by
-        // exactly one copy below — the exchange buffer can skip zeroing. The per-slice
-        // partials are GEMM accumulation targets and must start zeroed.
-        let mut full = mergesfl_nn::pool::take_uninit::<f32>(batch * self.classes);
-        for s in &self.slices {
-            let width = s.width();
-            let mut partial = mergesfl_nn::pool::take_zeroed::<f32>(batch * width);
-            kernels::gemm_nt(
-                backend,
-                batch,
-                width,
-                self.in_features,
-                h.data(),
-                &s.weight,
-                &mut partial,
-                Epilogue::BiasRow(&s.bias),
-            );
-            for (row, chunk) in partial.chunks(width).enumerate() {
-                full[row * self.classes + s.lo..row * self.classes + s.hi].copy_from_slice(chunk);
-            }
-            mergesfl_nn::pool::recycle(partial);
-        }
-        Tensor::from_vec(full, &[batch, self.classes])
-    }
-
-    /// The gathered `[classes, in]` classifier weight (slices are contiguous row blocks,
-    /// so gathering is concatenation in class order). Re-gathered per step by design:
-    /// the copy is `classes·in` floats against the step's `batch·classes·in` GEMM work,
-    /// and a persistent mirror would add a second state invariant to keep in sync
-    /// through every slice update and `load_state`.
-    fn gathered_weight(&self) -> Vec<f32> {
-        let mut w = mergesfl_nn::pool::take_uninit::<f32>(self.classes * self.in_features);
-        let mut offset = 0usize;
-        for s in &self.slices {
-            w[offset..offset + s.weight.len()].copy_from_slice(&s.weight);
-            offset += s.weight.len();
-        }
-        w
-    }
-}
-
-/// Copies the class columns `[lo, hi)` out of a row-major `[batch, classes]` matrix.
-fn scatter_columns(grad: &Tensor, lo: usize, hi: usize) -> Vec<f32> {
-    let cols = grad.shape()[1];
-    let width = hi - lo;
-    let mut out = mergesfl_nn::pool::take_uninit::<f32>(grad.shape()[0] * width);
-    for (dst, row) in out.chunks_mut(width.max(1)).zip(grad.data().chunks(cols)) {
-        dst.copy_from_slice(&row[lo..hi]);
-    }
-    out
-}
-
-impl TopModelShard for PartitionedShard {
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "PartitionedShard: learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn begin_step(&mut self, merged: &MergedBatch) -> TopStep {
-        self.trunk.zero_grad();
-        let h = self.trunk.forward(&merged.features, true);
-        let batch = h.shape()[0];
-        let backend = kernels::default_backend();
-
-        // Partial logits per slice, all-gathered before softmax/loss.
-        let logits = self.gathered_logits(&h);
-        let out = self.loss.forward(&logits, &merged.labels);
-
-        // Scatter: each shard takes its class columns of the logit gradient and computes
-        // its weight/bias gradient slices locally (the same GEMM/fold the unsharded
-        // Linear backward runs restricted to the owned rows).
-        for s in &mut self.slices {
-            let width = s.width();
-            let grad_block = scatter_columns(&out.grad, s.lo, s.hi);
-            s.grad_w.fill(0.0);
-            kernels::gemm_tn(
-                backend,
-                width,
-                self.in_features,
-                batch,
-                &grad_block,
-                h.data(),
-                &mut s.grad_w,
-                Epilogue::None,
-            );
-            s.grad_b.fill(0.0);
-            for row in grad_block.chunks(width) {
-                for (acc, g) in s.grad_b.iter_mut().zip(row) {
-                    *acc += *g;
-                }
-            }
-            mergesfl_nn::pool::recycle(grad_block);
-        }
-
-        // All-reduce of the partial trunk gradients, evaluated in canonical class order:
-        // one GEMM against the gathered weight carries the exact bits of the unsharded
-        // `grad_logits · W`, where a chunk-then-add float sum would not.
-        let gathered_w = self.gathered_weight();
-        let mut grad_h = mergesfl_nn::pool::take_zeroed::<f32>(batch * self.in_features);
-        kernels::gemm_nn(
-            backend,
-            batch,
-            self.in_features,
-            self.classes,
-            out.grad.data(),
-            &gathered_w,
-            &mut grad_h,
-            Epilogue::None,
-        );
-        mergesfl_nn::pool::recycle(gathered_w);
-        let grad_features = self
-            .trunk
-            .backward(&Tensor::from_vec(grad_h, &[batch, self.in_features]));
-        let gradients = dispatch_gradients(merged, &grad_features);
-        TopStep {
-            loss: out.loss,
-            accuracy: out.accuracy,
-            gradients,
-        }
-    }
-
-    fn finish_step(&mut self) {
-        // Gradient clipping by global norm (a scalar all-reduce across shards in a real
-        // deployment), folded in canonical full-model parameter order — trunk parameters
-        // first, then the gathered classifier weight and bias — exactly as `Sgd::step`
-        // folds the unsharded model.
-        let mut sq_norm: f32 = 0.0;
-        for p in self.trunk.params() {
-            sq_norm += p.grad.data().iter().map(|g| g * g).sum::<f32>();
-        }
-        let mut weight_sq: f32 = 0.0;
-        for s in &self.slices {
-            for &g in &s.grad_w {
-                weight_sq += g * g;
-            }
-        }
-        sq_norm += weight_sq;
-        let mut bias_sq: f32 = 0.0;
-        for s in &self.slices {
-            for &g in &s.grad_b {
-                bias_sq += g * g;
-            }
-        }
-        sq_norm += bias_sq;
-        let norm = sq_norm.sqrt();
-        let clip_scale = if norm.is_finite() && norm > GRAD_CLIP_NORM {
-            GRAD_CLIP_NORM / norm
-        } else {
-            1.0
-        };
-
-        // Plain-SGD updates with the shared clip scale: the trunk takes the identical
-        // full update on every shard (materialised once); each shard updates its own
-        // slice. Element-for-element this is `Sgd::step` without momentum/weight decay.
-        for p in self.trunk.params_mut() {
-            let value = p.value.data_mut();
-            let grad = p.grad.data();
-            for i in 0..value.len() {
-                let g = grad[i] * clip_scale;
-                value[i] -= self.lr * g;
-            }
-        }
-        for s in &mut self.slices {
-            for i in 0..s.weight.len() {
-                let g = s.grad_w[i] * clip_scale;
-                s.weight[i] -= self.lr * g;
-            }
-            for i in 0..s.bias.len() {
-                let g = s.grad_b[i] * clip_scale;
-                s.bias[i] -= self.lr * g;
-            }
-        }
-        self.trunk.zero_grad();
-    }
-
-    fn state(&self) -> Vec<f32> {
-        // Canonical full-top-model layout: trunk parameters, then the classifier weight
-        // (slices are contiguous row blocks) and bias — interchangeable with TopShard.
-        let mut out = self.trunk.state();
-        for s in &self.slices {
-            out.extend_from_slice(&s.weight);
-        }
-        for s in &self.slices {
-            out.extend_from_slice(&s.bias);
-        }
-        out
-    }
-
-    fn load_state(&mut self, state: &[f32]) {
-        let trunk_len = self.trunk.num_params();
-        let expected = trunk_len + self.classes * self.in_features + self.classes;
-        assert_eq!(
-            state.len(),
-            expected,
-            "PartitionedShard::load_state: expected {expected} values, got {}",
-            state.len()
-        );
-        self.trunk.load_state(&state[..trunk_len]);
-        let mut offset = trunk_len;
-        for s in &mut self.slices {
-            let n = s.weight.len();
-            s.weight.copy_from_slice(&state[offset..offset + n]);
-            offset += n;
-        }
-        for s in &mut self.slices {
-            let n = s.bias.len();
-            s.bias.copy_from_slice(&state[offset..offset + n]);
-            offset += n;
-        }
-    }
-
-    fn eval_forward(&mut self, features: &Tensor) -> Tensor {
-        let h = self.trunk.forward(features, false);
-        self.gathered_logits(&h)
-    }
-}
-
 /// The sharded parameter-server subsystem: the shard instances, the cross-shard sync
 /// policy, the global bottom model and the evaluation replica of the top model.
 pub struct ShardedServer {
-    shards: Vec<Box<dyn TopModelShard>>,
+    shards: Vec<TopShard>,
     topology: ShardTopology,
     /// Parameter-server instances the topology spreads the top model across. Replicated:
-    /// one replica per routed group (`shards.len()`). Output-partitioned: the slice count
-    /// of the one coordinated ensemble (`shards.len() == 1` routed group).
+    /// one replica per routed group (`shards.len()`). Output-partitioned: the modelled
+    /// instance count sharing the one route group's step (`shards.len() == 1`).
     instances: usize,
     sync_every: usize,
     /// Samples each shard processed since the last cross-shard sync (the sync weights).
@@ -592,10 +194,7 @@ impl ShardedServer {
             sync_every >= 1,
             "ShardedServer: sync_every must be positive"
         );
-        let shards: Vec<Box<dyn TopModelShard>> = tops
-            .into_iter()
-            .map(|top| Box::new(TopShard::new(top)) as Box<dyn TopModelShard>)
-            .collect();
+        let shards: Vec<TopShard> = tops.into_iter().map(TopShard::new).collect();
         let samples_since_sync = vec![0.0; shards.len()];
         let instances = shards.len();
         let pending_version = (0..shards.len()).map(|_| None).collect();
@@ -615,11 +214,12 @@ impl ShardedServer {
         }
     }
 
-    /// Creates an output-partitioned sharded server: one top model whose classifier is
-    /// sliced across `num_shards` parameter-server instances (capped at the class count).
-    /// The ensemble is routed as a single group — every instance sees the full cohort's
-    /// merged batch and the shards exchange partial activations within the step — so
-    /// there is no replica state to synchronise and `sync_every` does not apply.
+    /// Creates an output-partitioned sharded server: one top model whose output
+    /// dimension the modelled deployment splits across `num_shards` parameter-server
+    /// instances (capped at the class count — an instance cannot own less than one
+    /// output column). The instances form a single route group that sees the full
+    /// cohort's merged batch, so there is no replica state to synchronise and
+    /// `sync_every` does not apply; the step runs on the one top model.
     pub fn partitioned(
         top: Sequential,
         eval_top: Sequential,
@@ -627,22 +227,16 @@ impl ShardedServer {
         num_shards: usize,
     ) -> Self {
         assert!(num_shards >= 1, "ShardedServer: need at least one shard");
-        let ensemble = PartitionedShard::new(top, num_shards);
-        let instances = ensemble.num_slices();
-        Self {
-            shards: vec![Box::new(ensemble)],
-            topology: ShardTopology::OutputPartitioned,
-            instances,
-            sync_every: 1,
-            samples_since_sync: vec![0.0],
-            staleness: 0,
-            version_rings: Vec::new(),
-            pending_version: vec![None],
-            lag_counts: Vec::new(),
-            global_bottom,
-            eval_top,
-            eval_loss: SoftmaxCrossEntropy::new(),
-        }
+        assert!(
+            top.layer_names().last() == Some(&"Linear"),
+            "ShardedServer::partitioned: top model must end in a Linear classifier"
+        );
+        // The classifier's bias is the last parameter: one entry per class.
+        let classes = top.params().last().map_or(1, |bias| bias.value.shape()[0]);
+        let mut server = Self::new(vec![top], eval_top, global_bottom, 1);
+        server.topology = ShardTopology::OutputPartitioned;
+        server.instances = num_shards.min(classes);
+        server
     }
 
     /// Number of parameter-server instances the top model is spread across.
@@ -713,13 +307,15 @@ impl ShardedServer {
         std::mem::replace(&mut self.lag_counts, vec![0; self.staleness + 1])
     }
 
-    /// The dispatch-critical half of one stale-aware step: under a positive window the
+    /// Routes one merged batch to a shard's dispatch-critical step (tracks the shard's
+    /// processed samples for the sync weights). Under a positive staleness window the
     /// gradients are computed on the oldest state the group's version ring retains (the
     /// worst case the bound admits), then the *current* parameters are restored so the
     /// matching [`ShardedServer::finish_step`] applies those stale gradients to them.
     /// The restore only touches parameter values — the gradient buffers accumulated by
-    /// `begin_step` survive untouched for the optimizer tail.
-    fn stale_begin(&mut self, shard: usize, merged: &MergedBatch) -> TopStep {
+    /// the step survive untouched for the optimizer tail.
+    pub fn begin_step(&mut self, shard: usize, merged: &MergedBatch) -> TopStep {
+        self.samples_since_sync[shard] += merged.total() as f64;
         if self.staleness == 0 {
             return self.shards[shard].begin_step(merged);
         }
@@ -756,13 +352,6 @@ impl ShardedServer {
         step
     }
 
-    /// Routes one merged batch to a shard's dispatch-critical step (tracks the shard's
-    /// processed samples for the sync weights).
-    pub fn begin_step(&mut self, shard: usize, merged: &MergedBatch) -> TopStep {
-        self.samples_since_sync[shard] += merged.total() as f64;
-        self.stale_begin(shard, merged)
-    }
-
     /// Routes the overlappable optimizer tail to a shard. Under a positive staleness
     /// window this publishes the pre-step state to the group's version ring, advancing
     /// the version the next steps may lag behind.
@@ -779,28 +368,20 @@ impl ShardedServer {
         }
     }
 
-    /// Routes one iteration's uploads to a shard with feature merging.
+    /// Routes one iteration's uploads to a shard **with feature merging**: one
+    /// forward/backward pass over the mixed feature sequence, then gradient dispatching.
     pub fn process_merged(&mut self, shard: usize, uploads: &[&FeatureUpload]) -> TopStep {
-        self.samples_since_sync[shard] +=
-            uploads.iter().map(|u| u.batch_size() as f64).sum::<f64>();
-        if self.staleness == 0 {
-            return self.shards[shard].process_merged(uploads);
-        }
         let merged = merge_feature_refs(uploads);
-        let step = self.stale_begin(shard, &merged);
+        let step = self.begin_step(shard, &merged);
         self.finish_step(shard);
         step
     }
 
-    /// Routes one iteration's uploads to a shard without feature merging (typical SFL).
-    /// Each per-worker update is its own version under a positive staleness window,
-    /// mirroring the merged path's step granularity.
+    /// Routes one iteration's uploads to a shard **without feature merging** (typical
+    /// SFL): the shard's top model is updated once per routed worker, in sequence, each
+    /// update using only that worker's features. Under a positive staleness window each
+    /// per-worker update is its own version, mirroring the merged path's step granularity.
     pub fn process_sequential(&mut self, shard: usize, uploads: &[&FeatureUpload]) -> TopStep {
-        self.samples_since_sync[shard] +=
-            uploads.iter().map(|u| u.batch_size() as f64).sum::<f64>();
-        if self.staleness == 0 {
-            return self.shards[shard].process_sequential(uploads);
-        }
         assert!(!uploads.is_empty(), "process_sequential: no uploads");
         let mut gradients = Vec::with_capacity(uploads.len());
         let mut loss_sum = 0.0f32;
@@ -808,7 +389,7 @@ impl ShardedServer {
         let mut samples = 0usize;
         for upload in uploads {
             let single = merge_feature_refs(std::slice::from_ref(upload));
-            let step = self.stale_begin(shard, &single);
+            let step = self.begin_step(shard, &single);
             self.finish_step(shard);
             loss_sum += step.loss * upload.batch_size() as f32;
             acc_sum += step.accuracy * upload.batch_size() as f32;
@@ -985,9 +566,9 @@ mod tests {
 
     #[test]
     fn merged_processing_returns_gradients_for_every_worker() {
-        let mut shard = TopShard::new(toy_top());
+        let mut server = sharded(1, 1);
         let uploads = vec![upload(0, 3, 0), upload(1, 5, 1), upload(2, 2, 3)];
-        let step = shard.process_merged(&refs(&uploads));
+        let step = server.process_merged(0, &refs(&uploads));
         assert_eq!(step.gradients.len(), 3);
         assert_eq!(step.gradients[0].0, 0);
         assert_eq!(step.gradients[0].1.batch(), 3);
@@ -997,18 +578,18 @@ mod tests {
 
     #[test]
     fn merged_processing_updates_top_model_once() {
-        let mut shard = TopShard::new(toy_top());
-        let before = shard.state();
+        let mut server = sharded(1, 1);
+        let before = server.top_state();
         let uploads = [upload(0, 4, 0), upload(1, 4, 1)];
-        let _ = shard.process_merged(&refs(&uploads));
-        assert_ne!(before, shard.state());
+        let _ = server.process_merged(0, &refs(&uploads));
+        assert_ne!(before, server.top_state());
     }
 
     #[test]
     fn sequential_processing_matches_upload_order_and_sizes() {
-        let mut shard = TopShard::new(toy_top());
+        let mut server = sharded(1, 1);
         let uploads = vec![upload(5, 2, 0), upload(9, 6, 1)];
-        let step = shard.process_sequential(&refs(&uploads));
+        let step = server.process_sequential(0, &refs(&uploads));
         assert_eq!(step.gradients.len(), 2);
         assert_eq!(step.gradients[0].0, 5);
         assert_eq!(step.gradients[0].1.batch(), 2);
@@ -1022,11 +603,11 @@ mod tests {
         // the top model on the mixed batch, sequential updating takes two skewed steps. The
         // resulting top models must differ — this is the effect the paper's Fig. 4 shows.
         let uploads = vec![upload(0, 6, 0), upload(1, 6, 1)];
-        let mut merged_shard = TopShard::new(toy_top());
-        let mut seq_shard = TopShard::new(toy_top());
-        let _ = merged_shard.process_merged(&refs(&uploads));
-        let _ = seq_shard.process_sequential(&refs(&uploads));
-        assert_ne!(merged_shard.state(), seq_shard.state());
+        let mut merged_server = sharded(1, 1);
+        let mut seq_server = sharded(1, 1);
+        let _ = merged_server.process_merged(0, &refs(&uploads));
+        let _ = seq_server.process_sequential(0, &refs(&uploads));
+        assert_ne!(merged_server.top_state(), seq_server.top_state());
     }
 
     #[test]
@@ -1126,9 +707,8 @@ mod tests {
 
     #[test]
     fn partitioned_ensemble_matches_the_single_server_under_staleness() {
-        // PartitionedShard state vectors are interchangeable with TopShard's, and both
-        // run the same stale snapshot dance at the ShardedServer level: the same upload
-        // stream at the same window must stay bit-identical between the layouts.
+        // Both layouts run the same stale snapshot dance on one top model: the same
+        // upload stream at the same window must stay bit-identical between them.
         let uploads = [upload(0, 4, 0), upload(1, 4, 1), upload(2, 4, 2)];
         let mut single = sharded(1, 1);
         let mut partitioned = ShardedServer::partitioned(toy_top(), toy_top(), vec![0.0; 10], 2);
@@ -1151,7 +731,8 @@ mod tests {
         let uploads = vec![upload(0, 3, 0), upload(1, 5, 1)];
         let mut bare = TopShard::new(toy_top());
         let mut server = sharded(1, 1);
-        let a = bare.process_merged(&refs(&uploads));
+        let a = bare.begin_step(&merge_feature_refs(&refs(&uploads)));
+        bare.finish_step();
         let b = server.process_merged(0, &refs(&uploads));
         assert_eq!(a.loss, b.loss);
         assert_eq!(bare.state(), server.top_state());
@@ -1236,115 +817,19 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_shard_matches_the_full_top_shard_bit_for_bit() {
-        // The keystone of the output-partitioned topology: partial-logit forward,
-        // scattered gradient slices, the canonical-order trunk all-reduce and the global
-        // clip fold must reproduce the unsharded TopShard's arithmetic exactly — losses,
-        // dispatched gradients and parameters, bit for bit, step after step (including
-        // the early steps where gradient clipping is active).
-        for shards in [1usize, 2, 3, 4] {
-            let mut reference = TopShard::new(toy_top());
-            let mut partitioned = PartitionedShard::new(toy_top(), shards);
-            reference.set_lr(0.1);
-            partitioned.set_lr(0.1);
-            assert_eq!(reference.state(), partitioned.state(), "initial state");
-            for step in 0..4 {
-                let uploads = vec![
-                    upload(0, 3, step % 4),
-                    upload(1, 5, (step + 1) % 4),
-                    upload(2, 2, (step + 2) % 4),
-                ];
-                let a = reference.process_merged(&refs(&uploads));
-                let b = partitioned.process_merged(&refs(&uploads));
-                assert_eq!(a.loss, b.loss, "{shards} shards, step {step}: loss");
-                assert_eq!(a.accuracy, b.accuracy, "{shards} shards, step {step}");
-                assert_eq!(a.gradients.len(), b.gradients.len());
-                for ((wa, ga), (wb, gb)) in a.gradients.iter().zip(&b.gradients) {
-                    assert_eq!(wa, wb);
-                    assert_eq!(
-                        ga.data(),
-                        gb.data(),
-                        "{shards} shards, step {step}: dispatched gradient"
-                    );
-                }
-                assert_eq!(
-                    reference.state(),
-                    partitioned.state(),
-                    "{shards} shards, step {step}: parameters diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_shard_sequential_processing_matches_the_reference() {
-        // The no-merging (typical SFL) path steps once per routed worker; the partitioned
-        // ensemble must track the reference through the provided sequential sweep too.
-        let mut reference = TopShard::new(toy_top());
-        let mut partitioned = PartitionedShard::new(toy_top(), 3);
-        let uploads = vec![upload(4, 2, 0), upload(9, 6, 1), upload(2, 3, 3)];
-        let a = reference.process_sequential(&refs(&uploads));
-        let b = partitioned.process_sequential(&refs(&uploads));
-        assert_eq!(a.loss, b.loss);
-        assert_eq!(reference.state(), partitioned.state());
-        assert_eq!(a.gradients[1].0, 9);
-        assert_eq!(a.gradients[1].1.data(), b.gradients[1].1.data());
-    }
-
-    #[test]
-    fn partitioned_eval_forward_matches_the_full_model() {
-        let mut reference = TopShard::new(toy_top());
-        let mut partitioned = PartitionedShard::new(toy_top(), 4);
-        let uploads = [upload(0, 4, 1), upload(1, 4, 2)];
-        let _ = reference.process_merged(&refs(&uploads));
-        let _ = partitioned.process_merged(&refs(&uploads));
-        let features = Tensor::full(&[5, 8], 0.17);
-        assert_eq!(
-            reference.eval_forward(&features).data(),
-            partitioned.eval_forward(&features).data()
-        );
-    }
-
-    #[test]
-    fn partitioned_slices_are_contiguous_balanced_and_capped_at_class_count() {
-        // toy_top has 4 output classes: 3 shards slice as 2/1/1, and requesting more
-        // shards than classes caps the ensemble (a shard cannot own zero columns).
-        let three = PartitionedShard::new(toy_top(), 3);
-        assert_eq!(three.num_slices(), 3);
-        assert_eq!(three.slice_range(0), 0..2);
-        assert_eq!(three.slice_range(1), 2..3);
-        assert_eq!(three.slice_range(2), 3..4);
-        let capped = PartitionedShard::new(toy_top(), 16);
-        assert_eq!(capped.num_slices(), 4);
-        let mut covered = 0;
-        for s in 0..capped.num_slices() {
-            let range = capped.slice_range(s);
-            assert_eq!(range.start, covered, "slices must be contiguous");
-            assert!(!range.is_empty());
-            covered = range.end;
-        }
-        assert_eq!(covered, 4);
-    }
-
-    #[test]
-    fn partitioned_state_roundtrips_through_the_slice_layout() {
-        let reference = TopShard::new(toy_top());
-        let mut partitioned = PartitionedShard::new(toy_top(), 3);
-        let state = reference.state();
-        partitioned.load_state(&state);
-        assert_eq!(partitioned.state(), state);
-    }
-
-    #[test]
     fn partitioned_server_is_a_single_route_group_with_no_sync() {
         let mut server = ShardedServer::partitioned(toy_top(), toy_top(), vec![0.0; 10], 4);
         assert_eq!(server.topology(), ShardTopology::OutputPartitioned);
         assert_eq!(server.num_shards(), 4);
         assert_eq!(server.num_route_groups(), 1);
+        // toy_top has 4 output classes: more instances than classes are capped (an
+        // instance cannot own less than one output column).
+        let capped = ShardedServer::partitioned(toy_top(), toy_top(), vec![0.0; 10], 16);
+        assert_eq!(capped.num_shards(), 4);
         let uploads = vec![upload(0, 3, 0), upload(1, 5, 1)];
         let a = server.process_merged(0, &refs(&uploads));
 
-        // The ensemble's step equals the unsharded single-server step exactly, and the
+        // The step equals the unsharded single-server step exactly, and the
         // round boundary never syncs (there is no replica state to reconverge).
         let mut reference = ShardedServer::new(vec![toy_top()], toy_top(), vec![0.0; 10], 1);
         let b = reference.process_merged(0, &refs(&uploads));

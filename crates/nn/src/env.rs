@@ -22,7 +22,7 @@
 //! | `MERGESFL_NUM_SERVERS` | `mergesfl::config` | number of top-model shards (integer ≥ 1) |
 //! | `MERGESFL_SYNC_EVERY` | `mergesfl::config` | rounds between full synchronisations |
 //! | `MERGESFL_STALENESS` | `mergesfl::config` | bounded-staleness window (0 = fully synchronous) |
-//! | `MERGESFL_TOPOLOGY` | `mergesfl::config` | server-shard topology: `replicated` (default) or `partitioned` / `output-partitioned`; unknown values keep the default |
+//! | `MERGESFL_TOPOLOGY` | `mergesfl::config` | server-shard topology: `replicated` (default; also when unset or empty) or `partitioned` / `output-partitioned`; any other value panics |
 //! | `MERGESFL_FLEET` | `mergesfl::config` | registered fleet size (integer ≥ num_workers; unset = classic dense regime) |
 //! | `MERGESFL_CHURN` | `mergesfl::config` | `on`/`1`/`true` enables availability churn |
 //! | `MERGESFL_CHURN_PERIOD` | `mergesfl::config` | diurnal availability-wave period in rounds (default 48) |

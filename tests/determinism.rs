@@ -547,9 +547,9 @@ fn stale_trajectories_are_schedule_independent() {
 fn tensor_pool_is_bit_identical_across_the_execution_matrix() {
     // The pooling contract: checking buffers out of the size-classed arena changes where
     // bytes live, never their values. Every cell of the parallel × pipeline matrix — plus
-    // replicated and output-partitioned shard layouts, which recycle merge staging, ring
-    // snapshots and logit-exchange buffers through the pool — must produce the same trace
-    // with the pool off and on. Both runs happen inside one test because `run` flips the
+    // replicated and output-partitioned shard layouts, which recycle merge staging and
+    // ring snapshots through the pool — must produce the same trace with the pool off and
+    // on. Both runs happen inside one test because `run` flips the
     // process-wide pool switch. (`RunResult` equality already ignores the `pool_*`
     // gauges, which legitimately differ between a cold heap and a warm arena.)
     for (servers, topology) in [
