@@ -1,25 +1,19 @@
-//! The rule engine: per-file context, allow-markers, `#[cfg(test)]` ranges, the
-//! workspace walker, and the entry points the CLI and the tests share.
+//! Per-file context for the rule: the lexed token stream, the parsed allow-markers
+//! and the line ranges of `#[cfg(test)] mod … { … }` bodies.
 //!
-//! A rule sees a [`FileCtx`]: the lexed token stream (with a code-only view that
-//! filters comments), the raw source lines, every parsed `lint: allow(…)` marker,
-//! and the line ranges covered by `#[cfg(test)] mod … { … }` bodies. Rules that
-//! guard *runtime* contracts (e.g. the zero-alloc hot path) skip test ranges; rules
-//! that guard *semantic* contracts (bit-identity, determinism) deliberately do not —
-//! a `HashMap`-ordered expectation in a test is exactly as flaky as one in the
-//! engine.
+//! The `hot-path-alloc` rule guards a *runtime* contract (zero steady-state
+//! allocation), so sites inside test modules are exempt; the ranges below are how
+//! the rule knows where those modules are.
 
-use crate::config::{Config, RuleConfig};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::rules;
-use std::path::{Path, PathBuf};
+use crate::RULE;
 
 /// One reported violation.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Rule id, e.g. `hot-path-alloc`.
+    /// `hot-path-alloc` for an allocation site, `lint-marker` for a malformed marker.
     pub rule: &'static str,
-    /// Path relative to the scan root, forward slashes.
+    /// Path relative to the workspace root, forward slashes.
     pub file: String,
     /// 1-based line.
     pub line: usize,
@@ -36,25 +30,21 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// A parsed `lint: allow(<rule>) <reason>` marker. The marker excuses the rule on
-/// the comment's own lines and on the line immediately after it, so both placements
-/// work: a comment line directly above the site, or a trailing comment on the site's
-/// line. A reason too long for one line may continue onto directly-following comment
-/// lines; the continuation extends the marker's coverage.
+/// A comment opening with `lint:`. A well-formed marker, `lint: allow(hot-path-alloc)
+/// <reason>`, excuses the rule on the comment's own lines and on the line immediately
+/// after it, so both placements work: a comment line directly above the site, or a
+/// trailing comment on the site's line. A reason too long for one line may continue
+/// onto directly-following comment lines; the continuation extends the coverage.
 #[derive(Clone, Debug)]
 pub struct Marker {
-    pub rule: String,
-    pub reason: String,
+    /// Names this rule and gives a non-empty reason.
+    pub well_formed: bool,
     pub line: usize,
     pub end_line: usize,
 }
 
-/// Everything a rule pass needs to know about one file.
-pub struct FileCtx<'a> {
-    /// Path relative to the scan root, forward slashes.
-    pub rel: &'a str,
-    /// Raw source lines (for attribute/comment adjacency checks).
-    pub lines: Vec<&'a str>,
+/// Everything the rule needs to know about one file.
+pub struct FileCtx {
     /// Full token stream, comments included.
     pub toks: Vec<Tok>,
     /// Indices into `toks` of the non-comment tokens, in order.
@@ -64,8 +54,8 @@ pub struct FileCtx<'a> {
     pub test_ranges: Vec<(usize, usize)>,
 }
 
-impl<'a> FileCtx<'a> {
-    pub fn new(rel: &'a str, src: &'a str) -> Self {
+impl FileCtx {
+    pub fn new(src: &str) -> Self {
         let toks = lex(src);
         let code: Vec<usize> = toks
             .iter()
@@ -76,8 +66,6 @@ impl<'a> FileCtx<'a> {
         let markers = parse_markers(&toks);
         let test_ranges = test_ranges(&toks, &code);
         FileCtx {
-            rel,
-            lines: src.lines().collect(),
             toks,
             code,
             markers,
@@ -97,16 +85,11 @@ impl<'a> FileCtx<'a> {
             .any(|&(start, end)| (start..=end).contains(&line))
     }
 
-    /// Whether a well-formed allow-marker for `rule` covers `line`.
-    pub fn allowed(&self, rule: &str, line: usize) -> bool {
-        self.markers.iter().any(|m| {
-            m.rule == rule && !m.reason.is_empty() && (m.line..=m.end_line + 1).contains(&line)
-        })
-    }
-
-    /// Raw text of `line` (1-based), or empty for out-of-range.
-    pub fn line_text(&self, line: usize) -> &str {
-        self.lines.get(line.wrapping_sub(1)).copied().unwrap_or("")
+    /// Whether a well-formed allow-marker covers `line`.
+    pub fn allowed(&self, line: usize) -> bool {
+        self.markers
+            .iter()
+            .any(|m| m.well_formed && (m.line..=m.end_line + 1).contains(&line))
     }
 }
 
@@ -119,31 +102,22 @@ fn marker_body(tok: &Tok) -> Option<&str> {
 }
 
 /// Extracts every `lint:` marker from the comment tokens. Markers are returned even
-/// when malformed (empty rule/reason) so the marker-syntax meta rule can report
-/// them. Non-marker comment lines that directly follow a marker comment are treated
-/// as the reason's continuation and extend the marker's line coverage, so a
-/// multi-line explanation still sits adjacent to the code it excuses.
+/// when malformed (another rule, no reason) so the rule can report them. Non-marker
+/// comment lines that directly follow a marker comment are treated as the reason's
+/// continuation and extend the marker's line coverage, so a multi-line explanation
+/// still sits adjacent to the code it excuses.
 fn parse_markers(toks: &[Tok]) -> Vec<Marker> {
     let mut out = Vec::new();
     for (i, tok) in toks.iter().enumerate() {
         if tok.kind != TokKind::Comment {
             continue;
         }
-        let Some(rest) = marker_body(tok) else {
+        let Some(body) = marker_body(tok) else {
             continue;
         };
-        let rest = rest.trim_start();
-        let (rule, reason) = match rest.strip_prefix("allow(") {
-            Some(after) => match after.split_once(')') {
-                Some((rule, reason)) => {
-                    let reason = reason.trim();
-                    let reason = reason.strip_suffix("*/").unwrap_or(reason).trim();
-                    (rule.trim().to_string(), reason.to_string())
-                }
-                None => (String::new(), String::new()),
-            },
-            None => (String::new(), String::new()),
-        };
+        let reason = body.trim_start().strip_prefix(&format!("allow({RULE})"));
+        let well_formed =
+            reason.is_some_and(|r| !r.trim().trim_end_matches("*/").trim().is_empty());
         // Absorb continuation comment lines (not themselves markers) that start on
         // the line right after the marker. Tokens are sequential, so if the *next*
         // token is such a comment, no code sits between the marker and it.
@@ -159,8 +133,7 @@ fn parse_markers(toks: &[Tok]) -> Vec<Marker> {
             }
         }
         out.push(Marker {
-            rule,
-            reason,
+            well_formed,
             line: tok.line,
             end_line,
         });
@@ -256,77 +229,6 @@ fn test_ranges(toks: &[Tok], code: &[usize]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Whether `rel` falls under the rule's configured scope (empty scope = everywhere).
-pub fn in_scope(rel: &str, cfg: &RuleConfig) -> bool {
-    cfg.scope.is_empty() || cfg.scope.iter().any(|prefix| path_has_prefix(rel, prefix))
-}
-
-/// Prefix match on path components: `crates/nn` covers `crates/nn/src/lib.rs` but
-/// not `crates/nn2/src/lib.rs`; an exact file path covers only itself.
-pub fn path_has_prefix(rel: &str, prefix: &str) -> bool {
-    let prefix = prefix.trim_end_matches('/');
-    rel == prefix || rel.strip_prefix(prefix).is_some_and(|r| r.starts_with('/'))
-}
-
-/// Lints one file's source against every rule in the registry.
-pub fn lint_source(rel: &str, src: &str, config: &Config) -> Vec<Violation> {
-    let ctx = FileCtx::new(rel, src);
-    let mut out = Vec::new();
-    for rule in rules::all() {
-        let rule_cfg = config.rule(rule.id);
-        if !in_scope(rel, &rule_cfg) {
-            continue;
-        }
-        (rule.check)(&ctx, &rule_cfg, &mut out);
-    }
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    out
-}
-
-/// Recursively collects the `.rs` files under `root`, skipping excluded prefixes.
-/// Directories and files are visited in sorted order so reports are deterministic.
-pub fn collect_files(root: &Path, exclude: &[String]) -> Result<Vec<PathBuf>, String> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let mut entries: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        entries.sort();
-        // A stack pops in reverse, so push reversed to keep lexicographic order.
-        for path in entries.into_iter().rev() {
-            let rel = rel_path(root, &path);
-            if rel.starts_with('.') || exclude.iter().any(|p| path_has_prefix(&rel, p)) {
-                continue;
-            }
-            if path.is_dir() {
-                stack.push(path);
-            } else if rel.ends_with(".rs") {
-                out.push(path);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// `path` relative to `root`, forward slashes (what scopes and reports use).
-pub fn rel_path(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-/// Lints every `.rs` file under `root` and returns all violations, sorted by path.
-pub fn lint_root(root: &Path, config: &Config) -> Result<Vec<Violation>, String> {
-    let mut out = Vec::new();
-    for path in collect_files(root, &config.exclude)? {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        out.extend(lint_source(&rel_path(root, &path), &src, config));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,7 +241,7 @@ mod tests {
                    \u{20}   fn helper() {}\n\
                    }\n\
                    fn also_real() {}\n";
-        let ctx = FileCtx::new("x.rs", src);
+        let ctx = FileCtx::new(src);
         assert_eq!(ctx.test_ranges, vec![(2, 5)]);
         assert!(!ctx.in_tests(1));
         assert!(ctx.in_tests(4));
@@ -354,7 +256,7 @@ mod tests {
                    \u{20}   fn f() { if true { let _ = '{'; } }\n\
                    }\n\
                    fn real() {}\n";
-        let ctx = FileCtx::new("x.rs", src);
+        let ctx = FileCtx::new(src);
         assert_eq!(ctx.test_ranges, vec![(1, 5)]);
         assert!(!ctx.in_tests(6));
     }
@@ -362,58 +264,41 @@ mod tests {
     #[test]
     fn cfg_test_on_a_fn_is_not_a_module_range() {
         let src = "#[cfg(test)]\nfn only_in_tests() {}\nfn real() {}\n";
-        let ctx = FileCtx::new("x.rs", src);
+        let ctx = FileCtx::new(src);
         assert!(ctx.test_ranges.is_empty());
     }
 
     #[test]
     fn markers_cover_own_and_next_line() {
-        let src = "// lint: allow(no-fma) stats only, not kernel math\n\
-                   let y = x.mul_add(a, b);\n\
-                   let z = x.mul_add(a, b); // lint: allow(no-fma) same-line marker\n";
-        let ctx = FileCtx::new("x.rs", src);
-        assert!(ctx.allowed("no-fma", 2));
-        assert!(ctx.allowed("no-fma", 3));
-        assert!(!ctx.allowed("hot-path-alloc", 2));
+        let src = "// lint: allow(hot-path-alloc) one-time setup buffer\n\
+                   let v = vec![0; 4];\n\
+                   let w = vec![0; 4]; // lint: allow(hot-path-alloc) same-line marker\n";
+        let ctx = FileCtx::new(src);
+        assert!(ctx.allowed(2));
+        assert!(ctx.allowed(3));
         // A marker does not excuse lines beyond the one following it.
-        assert!(!ctx.allowed("no-fma", 5));
+        assert!(!ctx.allowed(5));
     }
 
     #[test]
     fn marker_reason_may_continue_onto_following_comment_lines() {
-        let src = "// lint: allow(no-fma) this reason is long enough that it\n\
+        let src = "// lint: allow(hot-path-alloc) this reason is long enough that it\n\
                    // wraps onto a second comment line before the site\n\
-                   let y = x.mul_add(a, b);\n\
-                   let z = x.mul_add(a, b);\n";
-        let ctx = FileCtx::new("x.rs", src);
-        assert!(ctx.allowed("no-fma", 3));
+                   let v = vec![0; 4];\n\
+                   let w = vec![0; 4];\n";
+        let ctx = FileCtx::new(src);
+        assert!(ctx.allowed(3));
         // The continuation extends coverage, it does not widen it past one code line.
-        assert!(!ctx.allowed("no-fma", 4));
+        assert!(!ctx.allowed(4));
+        // A marker without a reason excuses nothing.
+        let ctx = FileCtx::new("// lint: allow(hot-path-alloc)\nlet v = vec![0; 4];\n");
+        assert!(!ctx.allowed(2));
         // A second marker is its own marker, not a continuation of the first.
-        let src = "// lint: allow(no-fma) stats\n\
-                   // lint: allow(hot-path-alloc) scratch\n\
-                   let y = x.mul_add(a, b);\n\
-                   let z = vec![0; 4];\n";
-        let ctx = FileCtx::new("x.rs", src);
-        assert!(ctx.allowed("no-fma", 2));
-        assert!(!ctx.allowed("no-fma", 3));
-        assert!(ctx.allowed("hot-path-alloc", 3));
-    }
-
-    #[test]
-    fn marker_without_reason_does_not_excuse() {
-        let ctx = FileCtx::new("x.rs", "// lint: allow(no-fma)\nlet y = x.mul_add(a, b);\n");
-        assert!(!ctx.allowed("no-fma", 2));
-    }
-
-    #[test]
-    fn path_prefixes_match_components_not_strings() {
-        assert!(path_has_prefix("crates/nn/src/lib.rs", "crates/nn"));
-        assert!(path_has_prefix(
-            "crates/nn/src/lib.rs",
-            "crates/nn/src/lib.rs"
-        ));
-        assert!(!path_has_prefix("crates/nn2/src/lib.rs", "crates/nn"));
-        assert!(!path_has_prefix("crates/nn", "crates/nn/src"));
+        let src = "// lint: allow(hot-path-alloc) setup\n\
+                   // lint: allow(other) scratch\n\
+                   let v = vec![0; 4];\n";
+        let ctx = FileCtx::new(src);
+        assert!(ctx.allowed(2));
+        assert!(!ctx.allowed(3));
     }
 }

@@ -1,9 +1,9 @@
-//! A small, purpose-built Rust lexer for the lint passes.
+//! A small, purpose-built Rust lexer for the `hot-path-alloc` rule.
 //!
-//! The rules in this crate match on *code* tokens — identifiers and punctuation —
+//! The rule matches on *code* tokens — identifiers and punctuation —
 //! so the lexer's one job is to classify every byte of a source file correctly as
 //! code, comment, or literal. Getting that wrong in either direction breaks the
-//! engine: a rule token inside a string or comment must never fire, and a real
+//! rule: an allocation call inside a string or comment must never fire, and a real
 //! violation must never hide behind a lexing bug. The tricky cases are exactly the
 //! ones Rust's grammar makes easy to fumble with regexes:
 //!
@@ -13,14 +13,14 @@
 //! * lifetimes vs char literals (`<'a>` vs `'a'` vs `'\u{1F600}'`),
 //! * raw identifiers (`r#type`) that start like a raw string.
 //!
-//! The lexer is intentionally lossy about things the rules never look at: numeric
+//! The lexer is intentionally lossy about things the rule never looks at: numeric
 //! literal *values*, operator *composition* (`::` is two `:` tokens) and non-ASCII
 //! identifiers (treated as opaque punctuation). It never fails — malformed input
-//! degrades to best-effort tokens so the engine can still scan the rest of the file.
+//! degrades to best-effort tokens so the rule can still scan the rest of the file.
 
-/// What a token is. Comments keep their text (the SAFETY and allow-marker rules read
-/// it); identifiers keep theirs (every rule matches on them). Literal contents are
-/// deliberately dropped — no rule may ever fire on them.
+/// What a token is. Comments keep their text (the allow-marker parse reads it);
+/// identifiers keep theirs (the rule matches on them). Literal contents are
+/// deliberately dropped — the rule may never fire on them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (including raw identifiers, without the `r#` prefix).
@@ -124,10 +124,15 @@ impl Lexer<'_> {
     }
 
     fn push_here(&mut self, kind: TokKind, text: String) {
+        self.push_from(self.line, kind, text);
+    }
+
+    /// Pushes a token that started on `line` and ends on the current line.
+    fn push_from(&mut self, line: usize, kind: TokKind, text: String) {
         self.out.push(Tok {
             kind,
             text,
-            line: self.line,
+            line,
             end_line: self.line,
         });
     }
@@ -164,12 +169,7 @@ impl Lexer<'_> {
             }
         }
         let text = String::from_utf8_lossy(&self.bytes[start..self.i]).into_owned();
-        self.out.push(Tok {
-            kind: TokKind::Comment,
-            text,
-            line: start_line,
-            end_line: self.line,
-        });
+        self.push_from(start_line, TokKind::Comment, text);
     }
 
     /// Ordinary (escapable) string body starting at the opening quote.
@@ -190,12 +190,7 @@ impl Lexer<'_> {
                 _ => self.i += 1,
             }
         }
-        self.out.push(Tok {
-            kind: TokKind::Str,
-            text: String::new(),
-            line: start_line,
-            end_line: self.line,
-        });
+        self.push_from(start_line, TokKind::Str, String::new());
     }
 
     /// Raw string body: `#`-fence already counted, cursor on the opening quote.
@@ -215,12 +210,7 @@ impl Lexer<'_> {
                 _ => self.i += 1,
             }
         }
-        self.out.push(Tok {
-            kind: TokKind::Str,
-            text: String::new(),
-            line: start_line,
-            end_line: self.line,
-        });
+        self.push_from(start_line, TokKind::Str, String::new());
     }
 
     fn closes_raw(&self, hashes: usize) -> bool {

@@ -1,151 +1,41 @@
-//! Integration tests: the committed fixtures through both the engine and the CLI
-//! binary, and — the test that gives this crate its teeth — the whole workspace
-//! against the committed root `lint.toml`.
+//! Integration tests: the rule's fixture pair, and — the test that gives this crate
+//! its teeth — the whole workspace, which runs under `cargo test --workspace`.
 
-use mergesfl_analysis::config::Config;
-use mergesfl_analysis::engine::{lint_root, lint_source, Violation};
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use mergesfl_analysis::{lint_source, lint_workspace, RULE};
+use std::path::Path;
 
-/// The five contract rules (the `lint-marker` meta rule is exercised by the unit
-/// tests in `rules.rs`). Fixture directories are the rule ids with `-` → `_`.
-const RULES: [&str; 5] = [
-    "no-fma",
-    "hot-path-alloc",
-    "unsafe-audit",
-    "env-read",
-    "nondeterministic-iteration",
-];
-
-fn fixtures_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-fn fixtures_config() -> Config {
-    let path = fixtures_root().join("lint.toml");
-    let text = std::fs::read_to_string(&path).unwrap();
-    Config::parse(&text).unwrap()
-}
-
-fn lint_fixture(rel: &str) -> Vec<Violation> {
-    let path = fixtures_root().join(rel);
+fn lint_fixture(kind: &str) -> Vec<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/fixtures/hot_path_alloc/{kind}.rs"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    lint_source(rel, &src, &fixtures_config())
-}
-
-fn fixture_dir(rule: &str) -> String {
-    rule.replace('-', "_")
-}
-
-#[test]
-fn every_violating_fixture_fires_its_rule() {
-    for rule in RULES {
-        let rel = format!("{}/violating.rs", fixture_dir(rule));
-        let violations = lint_fixture(&rel);
-        assert!(
-            violations.iter().any(|v| v.rule == rule),
-            "{rel}: expected a {rule} violation, got {violations:?}"
-        );
-    }
+    lint_source(kind, &src)
+        .iter()
+        .map(|v| v.to_string())
+        .collect()
 }
 
 #[test]
-fn every_clean_fixture_is_fully_clean() {
-    for rule in RULES {
-        let rel = format!("{}/clean.rs", fixture_dir(rule));
-        let violations = lint_fixture(&rel);
-        assert!(violations.is_empty(), "{rel}: {violations:?}");
-    }
+fn violating_fixture_fires_on_every_site_and_clean_fixture_is_clean() {
+    let violating = lint_fixture("violating");
+    assert_eq!(violating.len(), 3, "{violating:#?}");
+    assert!(violating.iter().all(|v| v.contains(RULE)), "{violating:#?}");
+    let clean = lint_fixture("clean");
+    assert!(clean.is_empty(), "{clean:#?}");
 }
 
+/// The zero-alloc modules carry no unexcused allocation call and no malformed marker.
 #[test]
-fn lexer_tricky_fixture_is_clean_under_every_rule() {
-    let violations = lint_fixture("lexer/tricky.rs");
-    assert!(violations.is_empty(), "{violations:?}");
-}
-
-/// The acceptance criterion stated operationally: the binary exits non-zero on
-/// every violating fixture and zero on every clean one.
-#[test]
-fn cli_exit_codes_per_fixture() {
-    let bin = env!("CARGO_BIN_EXE_mergesfl-lint");
-    for rule in RULES {
-        for (kind, expect) in [("violating", 1), ("clean", 0)] {
-            let rel = format!("{}/{kind}.rs", fixture_dir(rule));
-            let out = Command::new(bin)
-                .arg("--root")
-                .arg(fixtures_root())
-                .args(["--check", &rel])
-                .output()
-                .unwrap();
-            assert_eq!(
-                out.status.code(),
-                Some(expect),
-                "{rel}: stdout={}",
-                String::from_utf8_lossy(&out.stdout)
-            );
-        }
-    }
-}
-
-#[test]
-fn cli_list_and_explain_cover_every_rule() {
-    let bin = env!("CARGO_BIN_EXE_mergesfl-lint");
-    let out = Command::new(bin).arg("--list").output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    for rule in RULES {
-        assert!(text.contains(rule), "--list missing {rule}");
-        let out = Command::new(bin)
-            .args(["--explain", rule])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "--explain {rule} failed");
-        assert!(!out.stdout.is_empty());
-    }
-}
-
-#[test]
-fn cli_usage_and_config_errors_exit_two() {
-    let bin = env!("CARGO_BIN_EXE_mergesfl-lint");
-    // No mode.
-    let out = Command::new(bin).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    // Unknown rule.
-    let out = Command::new(bin)
-        .args(["--explain", "nope"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    // Broken config must fail loudly, not pass as "no rules configured".
-    let out = Command::new(bin)
-        .arg("--root")
-        .arg(fixtures_root())
-        .arg("--config")
-        .arg(fixtures_root().join("no_fma/violating.rs"))
-        .arg("--check")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-}
-
-/// The whole workspace lints clean under the committed root `lint.toml` — this is
-/// what makes the contracts *source-level invariants* rather than aspirations, and
-/// it runs in tier-1 so `cargo test` alone catches a regression.
-#[test]
-fn workspace_is_clean_under_committed_config() {
+fn workspace_has_no_unmarked_hot_path_allocations() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()
         .parent()
         .unwrap();
-    let text = std::fs::read_to_string(root.join("lint.toml")).unwrap();
-    let config = Config::parse(&text).unwrap();
-    let violations = lint_root(root, &config).unwrap();
+    let violations = lint_workspace(root).unwrap();
     let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     assert!(
         violations.is_empty(),
-        "workspace lint violations:\n{}",
+        "hot-path-alloc violations:\n{}",
         rendered.join("\n")
     );
 }

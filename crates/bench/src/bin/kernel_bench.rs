@@ -400,11 +400,14 @@ fn stddev_ns(samples: &[f64]) -> f64 {
         return 0.0;
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fusing is welcome in a jitter statistic: accuracy, not bit-identity, \
+                  matters here; kernel math must never fuse"
+    )]
     let var = samples
         .iter()
         .map(|s| s - mean)
-        // lint: allow(no-fma) fusing is welcome in a jitter statistic — accuracy,
-        // not bit-identity, matters here; kernel math must never fuse
         .fold(0.0, |acc, d| d.mul_add(d, acc))
         / samples.len() as f64;
     var.sqrt()

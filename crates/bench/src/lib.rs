@@ -1,7 +1,7 @@
 //! Shared harness for the figure-regeneration binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper (see DESIGN.md §3
-//! for the index). They all read the experiment scale from the `MERGESFL_SCALE` environment
+//! Each binary in `src/bin/` regenerates one table or figure of the paper (README.md lists
+//! them). They all read the experiment scale from the `MERGESFL_SCALE` environment
 //! variable:
 //!
 //! * `quick` (default) — minutes-scale runs that show the qualitative shape of every figure;
@@ -9,10 +9,10 @@
 //! * `paper` — the paper's 80-worker, full-round-budget setting (hours of CPU time).
 //!
 //! Results are printed as aligned text tables and, when `MERGESFL_JSON=1`, additionally as
-//! JSON lines for machine consumption (EXPERIMENTS.md is produced from these).
+//! JSON lines for machine consumption.
 
-// No unsafe anywhere in this crate: the only audited unsafe in the workspace
-// lives in mergesfl_nn (pool.rs, kernels/gemm.rs) — see the unsafe-audit lint rule.
+// No unsafe anywhere in this crate: the workspace's only audited unsafe lives in
+// mergesfl_nn (pool.rs, kernels/gemm.rs, kernels/micro.rs).
 #![forbid(unsafe_code)]
 
 use mergesfl::config::RunConfig;
@@ -32,16 +32,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (`MERGESFL_SCALE`), defaulting to quick.
+    /// Reads the scale from the `MERGESFL_SCALE` environment variable; see
+    /// `parse_setting`.
     pub fn from_env() -> Self {
-        match mergesfl_nn::env::var("MERGESFL_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "paper" => Self::Paper,
+        Self::parse_setting(mergesfl_nn::env::var("MERGESFL_SCALE").as_deref())
+    }
+
+    /// Parses a `MERGESFL_SCALE` setting. Unset or empty means quick; any other value
+    /// must name a scale (`quick`, `standard`, `paper`, ASCII case-insensitive) — a
+    /// mistyped one panics instead of silently running the quick scale.
+    fn parse_setting(setting: Option<&str>) -> Self {
+        let name = setting.unwrap_or_default().trim();
+        match name.to_ascii_lowercase().as_str() {
+            "" | "quick" => Self::Quick,
             "standard" => Self::Standard,
-            _ => Self::Quick,
+            "paper" => Self::Paper,
+            _ => panic!(
+                "MERGESFL_SCALE={name:?} is not an experiment scale; \
+                 accepted values: quick, standard, paper"
+            ),
         }
     }
 
@@ -197,22 +206,30 @@ pub fn format_curve(result: &RunResult) -> String {
         .join("  ")
 }
 
-/// Datasets restricted by the optional `MERGESFL_DATASETS` env var (comma-separated subset
-/// of `har,speech,cifar10,image100`); defaults to all four.
+/// Datasets restricted by the optional `MERGESFL_DATASETS` environment variable; see
+/// `parse_datasets_setting`.
 pub fn datasets_from_env() -> Vec<DatasetKind> {
-    let Some(raw) = mergesfl_nn::env::var("MERGESFL_DATASETS") else {
-        return DatasetKind::all().to_vec();
-    };
+    parse_datasets_setting(mergesfl_nn::env::var("MERGESFL_DATASETS").as_deref())
+}
+
+/// Parses a `MERGESFL_DATASETS` setting: a comma-separated subset of `har`, `speech`,
+/// `cifar10` (alias `cifar`) and `image100` (alias `image`), ASCII case-insensitive.
+/// Unset, empty or only-empty tokens mean all four; a non-empty token that names no
+/// dataset panics instead of being skipped.
+fn parse_datasets_setting(setting: Option<&str>) -> Vec<DatasetKind> {
     let mut out = Vec::new();
-    for token in raw.split(',') {
-        match token.trim().to_lowercase().as_str() {
-            "har" => out.push(DatasetKind::Har),
-            "speech" => out.push(DatasetKind::Speech),
-            "cifar10" | "cifar" => out.push(DatasetKind::Cifar10),
-            "image100" | "image" => out.push(DatasetKind::Image100),
-            "" => {}
-            other => eprintln!("ignoring unknown dataset '{other}'"),
-        }
+    for token in setting.unwrap_or_default().split(',').map(str::trim) {
+        out.push(match token.to_ascii_lowercase().as_str() {
+            "" => continue,
+            "har" => DatasetKind::Har,
+            "speech" => DatasetKind::Speech,
+            "cifar10" | "cifar" => DatasetKind::Cifar10,
+            "image100" | "image" => DatasetKind::Image100,
+            _ => panic!(
+                "MERGESFL_DATASETS token {token:?} is not a dataset; \
+                 accepted values: har, speech, cifar10 (cifar), image100 (image)"
+            ),
+        });
     }
     if out.is_empty() {
         DatasetKind::all().to_vec()
@@ -226,11 +243,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_defaults_to_quick() {
-        // The test environment does not set MERGESFL_SCALE.
-        assert_eq!(Scale::from_env(), Scale::Quick);
+    fn scale_setting_parses_names_and_defaults_to_quick() {
+        assert_eq!(Scale::parse_setting(None), Scale::Quick);
+        assert_eq!(Scale::parse_setting(Some(" ")), Scale::Quick);
+        assert_eq!(Scale::parse_setting(Some("quick")), Scale::Quick);
+        assert_eq!(Scale::parse_setting(Some("Standard")), Scale::Standard);
+        assert_eq!(Scale::parse_setting(Some(" PAPER ")), Scale::Paper);
         let c = Scale::Quick.config(DatasetKind::Har, 0.0, 1);
         assert!(c.rounds <= 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted values: quick, standard, paper")]
+    fn mistyped_scale_setting_fails_loudly() {
+        Scale::parse_setting(Some("papr"));
+    }
+
+    #[test]
+    fn datasets_setting_filters_and_defaults_to_all() {
+        let all = DatasetKind::all().to_vec();
+        assert_eq!(parse_datasets_setting(None), all);
+        assert_eq!(parse_datasets_setting(Some("")), all);
+        assert_eq!(parse_datasets_setting(Some(" , ")), all);
+        assert_eq!(parse_datasets_setting(Some("har")), [DatasetKind::Har]);
+        assert_eq!(
+            parse_datasets_setting(Some("Image, cifar10,")),
+            [DatasetKind::Image100, DatasetKind::Cifar10]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted values: har, speech, cifar10 (cifar), image100 (image)")]
+    fn mistyped_dataset_setting_fails_loudly() {
+        parse_datasets_setting(Some("har,cifr10"));
     }
 
     #[test]

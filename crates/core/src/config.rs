@@ -3,7 +3,7 @@
 pub use crate::sfl::server::ShardTopology;
 use mergesfl_data::DatasetKind;
 /// The blessed environment-read helper: every `MERGESFL_*` knob is documented in
-/// its module docs, and the `env-read` lint confines raw `std::env::var` there.
+/// its module docs, and the root `clippy.toml` confines raw `std::env::var` there.
 pub use mergesfl_nn::env;
 pub use mergesfl_nn::kernels::{KernelBackend, MicroKernelId, TilingOverride};
 use serde::{Deserialize, Serialize};
@@ -225,8 +225,6 @@ pub fn tiling_from_env() -> TilingOverride {
 /// Reads the server topology from the `MERGESFL_TOPOLOGY` environment variable; see
 /// `parse_topology_setting`.
 pub fn topology_from_env() -> ShardTopology {
-    // Qualified path: the env-read lint treats a bare `env::var` as a raw read
-    // (it cannot see imports), so helper calls spell the crate out.
     parse_topology_setting(mergesfl_nn::env::var("MERGESFL_TOPOLOGY").as_deref())
 }
 

@@ -253,7 +253,6 @@ impl ControlModule {
     ///
     /// `label_dists` are the per-worker label distributions `V_i` reported before training;
     /// the IID reference `Φ0` is their average, as defined in the paper.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         label_dists: Vec<LabelDistribution>,
         max_batch: usize,

@@ -32,8 +32,8 @@
 //!          result.final_accuracy(), result.total_sim_time());
 //! ```
 
-// No unsafe anywhere in this crate: the only audited unsafe in the workspace
-// lives in mergesfl_nn (pool.rs, kernels/gemm.rs) — see the unsafe-audit lint rule.
+// No unsafe anywhere in this crate: the workspace's only audited unsafe lives in
+// mergesfl_nn (pool.rs, kernels/gemm.rs, kernels/micro.rs).
 #![forbid(unsafe_code)]
 
 pub mod baselines;

@@ -958,7 +958,6 @@ fn server_iteration(
 
 /// The barrier round loop (the oracle): every iteration fully serialises worker forward →
 /// server step → gradient application. Returns the summed iteration losses.
-#[allow(clippy::too_many_arguments)]
 fn run_iterations_barrier(
     cohort: &mut [&mut SflWorker],
     train: &Dataset,
@@ -990,7 +989,6 @@ fn run_iterations_barrier(
 /// models. Arithmetic order is identical to the barrier loop (shards are visited in
 /// shard order either way), so trajectories are bit-identical; only scheduling differs.
 /// Returns the summed iteration losses.
-#[allow(clippy::too_many_arguments)]
 fn run_iterations_pipelined(
     cohort: &mut [&mut SflWorker],
     train: &Dataset,

@@ -92,7 +92,6 @@ impl SflWorker {
     /// clipping bounds the norm, the cap bounds the systematic amplification. With
     /// `merging == false` the gradient is already normalised per-worker and the base rate
     /// is used unscaled.
-    #[allow(clippy::too_many_arguments)]
     pub fn apply_merged_gradient(
         &mut self,
         grad_features: &Tensor,

@@ -4,13 +4,13 @@
 //!
 //! The paper evaluates on HAR, Google Speech, CIFAR-10 and IMAGE-100; those datasets are not
 //! available in this environment, so [`synth`] generates class-conditional synthetic
-//! analogues with the same class counts and compatible input shapes (see DESIGN.md §1).
+//! analogues with the same class counts and compatible input shapes.
 //! The statistical-heterogeneity machinery — the Dirichlet partitioner, per-worker label
 //! distributions `V_i`, and the non-IID level `p = 1/δ` — is implemented exactly as in the
 //! paper ([`partition`]).
 
-// No unsafe anywhere in this crate: the only audited unsafe in the workspace
-// lives in mergesfl_nn (pool.rs, kernels/gemm.rs) — see the unsafe-audit lint rule.
+// No unsafe anywhere in this crate: the workspace's only audited unsafe lives in
+// mergesfl_nn (pool.rs, kernels/gemm.rs, kernels/micro.rs).
 #![forbid(unsafe_code)]
 
 pub mod dataset;

@@ -85,7 +85,7 @@ mod tests {
     use super::*;
     use crate::datasets::DatasetKind;
     use crate::synth::generate_default;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn toy() -> Dataset {
         generate_default(&DatasetKind::Har.spec(), 1).0
@@ -110,7 +110,7 @@ mod tests {
             seen.extend(loader.next_indices(4));
         }
         assert_eq!(seen.len(), 32);
-        let unique: HashSet<usize> = seen.iter().copied().collect();
+        let unique: BTreeSet<usize> = seen.iter().copied().collect();
         assert_eq!(unique.len(), 32);
         assert!(unique.iter().all(|i| shard.contains(i)));
     }
@@ -123,8 +123,8 @@ mod tests {
         let second: Vec<usize> = loader.next_indices(64);
         assert_eq!(loader.epochs_completed(), 1);
         assert_ne!(first, second, "order should change between epochs");
-        let a: HashSet<usize> = first.into_iter().collect();
-        let b: HashSet<usize> = second.into_iter().collect();
+        let a: BTreeSet<usize> = first.into_iter().collect();
+        let b: BTreeSet<usize> = second.into_iter().collect();
         assert_eq!(a, b);
     }
 

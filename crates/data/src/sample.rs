@@ -33,13 +33,13 @@ pub fn eval_subsample(len: usize, n: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn draws_distinct_in_range_indices_of_the_requested_size() {
         let sample = eval_subsample(1000, 64, 7);
         assert_eq!(sample.len(), 64);
-        let unique: HashSet<usize> = sample.iter().copied().collect();
+        let unique: BTreeSet<usize> = sample.iter().copied().collect();
         assert_eq!(unique.len(), 64);
         assert!(sample.iter().all(|&i| i < 1000));
     }
@@ -74,7 +74,7 @@ mod tests {
     fn covers_the_whole_set_across_seeds() {
         // Sampling 32 of 64 across many seeds should touch every index — a smoke check
         // that the draw is uniform over the whole set rather than over a sub-window.
-        let mut touched = HashSet::new();
+        let mut touched = BTreeSet::new();
         for seed in 0..32 {
             touched.extend(eval_subsample(64, 32, seed));
         }

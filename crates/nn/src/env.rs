@@ -1,7 +1,9 @@
 //! The single home for environment reads — every `MERGESFL_*` knob, documented.
 //!
-//! The `env-read` lint forbids raw `std::env::var` everywhere except this module
-//! (and the rayon shim, which cannot depend on this crate), for two reasons:
+//! Every environment read goes through this module — the root `clippy.toml`
+//! disallows raw `std::env::var` / `var_os` / `vars`, and [`var`] here and the rayon
+//! shim (which cannot depend on this crate) are the only reads excused with an
+//! `#[expect]` — for two reasons:
 //!
 //! 1. **Allocation.** `std::env::var` clones the value on every successful read —
 //!    PR 7's alloc gate caught exactly one steady-state allocation hiding inside a
@@ -30,15 +32,19 @@
 //! | `MERGESFL_CHURN_DROPOUT` | `mergesfl::config` | mid-round dropout probability in [0, 1) (default 0.05) |
 //! | `MERGESFL_BENCH_JSON` | `mergesfl::calibrate` | path of a `BENCH_kernels.json` to *read* server-cost calibration measurements from (default: the frozen reference snapshot) |
 //! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (default 0.70) |
-//! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default) / `standard` / `paper`; unknown values run `quick` |
+//! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default; also when unset or empty) / `standard` / `paper`; any other value panics |
 //! | `MERGESFL_JSON` | `mergesfl_bench` | `1` switches bench output to JSON lines |
-//! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter |
+//! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter over `har`, `speech`, `cifar10` / `cifar`, `image100` / `image` (default: all four); any other token panics |
 //! | `RAYON_NUM_THREADS` | rayon shim | worker-thread cap (read directly by the shim) |
 
 /// Reads `name`, returning `None` when unset or not valid Unicode.
 ///
 /// Allocates on success (it clones the value) — never call per iteration; cache
 /// the result at setup time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned environment read; every knob is documented above"
+)]
 pub fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }

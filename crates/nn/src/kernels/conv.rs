@@ -1040,7 +1040,6 @@ mod tests {
 
     /// A 2-D geometry with exactly `h_out × w_out` outputs where the kernel, stride and
     /// padding allow it (otherwise the nearest valid input extent).
-    #[allow(clippy::too_many_arguments)]
     fn geom_for(
         n: usize,
         c_in: usize,

@@ -28,6 +28,12 @@
 //! disjoint slice of C and performs the identical per-element accumulation, so results do
 //! not depend on the thread count — parallelism changes wall-clock time only.
 
+#![allow(
+    unsafe_code,
+    reason = "audited: micro-kernel invocation and the packer thread's Send wrapper; every \
+              block carries a SAFETY comment"
+)]
+
 use rayon::prelude::*;
 
 use super::micro::{self, MicroKernelId, MicroSelect};
@@ -138,7 +144,6 @@ pub fn gemm_tn(
 }
 
 /// Backend-dispatched entry point: the runtime plans the scheme per shape.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_cfg(
     backend: KernelBackend,
     trans: Trans,
@@ -213,7 +218,6 @@ pub fn gemm_cfg(
 /// Full-control entry point: runs one explicit scheme and micro-kernel policy over the
 /// whole output, bypassing runtime selection and the threaded fan-out. The scheme is a
 /// pure performance control — results are bit-identical whatever is passed.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_with_scheme(
     trans: Trans,
     m: usize,
@@ -323,7 +327,6 @@ fn b_at(trans: Trans, b: &[f32], n: usize, k: usize, p: usize, j: usize) -> f32 
 
 /// Packs an `mc_eff × kc_eff` block of A into `mr`-row panels, zero-padding the ragged
 /// last panel. Panel layout is `p`-major: `ap[panel][p * mr + i]`.
-#[allow(clippy::too_many_arguments)]
 fn pack_a(
     trans: Trans,
     a: &[f32],
@@ -355,7 +358,6 @@ fn pack_a(
 
 /// Packs a `kc_eff × nc_eff` block of B into `nr`-column panels, zero-padding the ragged
 /// last panel. Panel layout is `p`-major: `bp[panel][p * nr + j]`.
-#[allow(clippy::too_many_arguments)]
 fn pack_b(
     trans: Trans,
     b: &[f32],
@@ -580,7 +582,6 @@ pub(super) fn with_panel_kernel(lanes: usize, op: impl PanelOp) {
 /// Runs one scheme over the row slice `c_rows` (rows `[row0, row0 + m_local)` of the full
 /// `[m, n]` output). `dims` carries the full problem sizes so the transposed layouts can
 /// index A and B globally.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn gemm_dispatch(
     trans: Trans,
     dims: (usize, usize, usize),
@@ -700,7 +701,6 @@ impl<const TMR: usize, const TNR: usize> PanelKernel<TMR, TNR> {
     /// deep, and the block starts at row `ic`, column `jc` of the row-major `[_, n]`
     /// `c_rows`. Shared by the single- and double-stage drivers so both accumulate in
     /// exactly the same order.
-    #[allow(clippy::too_many_arguments)]
     fn fold_block(
         &self,
         ap: &[f32],
@@ -741,7 +741,6 @@ impl<const TMR: usize, const TNR: usize> PanelKernel<TMR, TNR> {
 /// Single-stage packed GEMM over a contiguous row slice of C with a `TMR×TNR` tile:
 /// panels are packed inline on the compute thread, B once per `(jc, pc)` block, A once
 /// per `(jc, pc, ic)` block.
-#[allow(clippy::too_many_arguments)]
 fn gemm_packed_single<const TMR: usize, const TNR: usize>(
     trans: Trans,
     dims: (usize, usize, usize),
@@ -845,7 +844,10 @@ unsafe impl Send for PackJob {}
 
 /// Decodes stage `t` of a job into its block coordinates and effective sizes:
 /// `(jc, pc, ic, nc_eff, kc_eff, mc_eff, r)`.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "a flat coordinate tuple, destructured at the one call site"
+)]
 fn stage_coords(
     t: usize,
     ics: usize,
@@ -983,7 +985,6 @@ std::thread_local! {
 
 /// Double-buffered packed GEMM: identical loop nest and accumulation order to
 /// [`gemm_packed_single`], with packing offloaded to the persistent stage thread.
-#[allow(clippy::too_many_arguments)]
 fn gemm_packed_double<const TMR: usize, const TNR: usize>(
     trans: Trans,
     dims: (usize, usize, usize),

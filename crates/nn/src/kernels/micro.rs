@@ -33,6 +33,11 @@
 //! never has to be copied into panels. A fold gives the same bits through
 //! either entry.
 
+#![allow(
+    unsafe_code,
+    reason = "audited: the SIMD micro-kernels; every block carries a SAFETY comment"
+)]
+
 use super::tiling::TileSize;
 
 /// Identity of a concrete micro-kernel implementation.

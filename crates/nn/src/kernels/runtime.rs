@@ -81,7 +81,6 @@ pub trait Runtime: Sync {
     /// Executes `C += op(A)·op(B)` over the row slice `c_rows` (rows
     /// `[row0, row0 + m_local)` of the full output) according to `plan`.
     /// Implementations must preserve the ascending-`k` fold order per element.
-    #[allow(clippy::too_many_arguments)]
     fn gemm(
         &self,
         plan: &GemmPlan,

@@ -29,8 +29,9 @@
 //! threads on large shapes, but every parallel path preserves the sequential accumulation
 //! order, so results are bit-identical whatever the core count.
 
-// The two files allowed to contain unsafe (pool.rs, kernels/gemm.rs) must spell
-// out each unsafe operation in its own block: see the unsafe-audit lint rule.
+// The three files allowed to contain unsafe (pool.rs, kernels/gemm.rs,
+// kernels/micro.rs) spell out each unsafe operation in its own block, each with a
+// `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod env;

@@ -36,6 +36,11 @@
 //! together with the pool counters, as the `MERGESFL_COUNT_ALLOCS` probe behind the
 //! CI allocation gate (steady-state `allocs_per_iter == 0` on the gated kernels).
 
+#![allow(
+    unsafe_code,
+    reason = "audited: the counting global allocator; every block carries a SAFETY comment"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

@@ -3,7 +3,7 @@
 //! The paper trains CNN-H (HAR), CNN-S (Google Speech), AlexNet (CIFAR-10) and VGG16
 //! (IMAGE-100) on Jetson GPUs. This workspace runs on a single CPU core, so each
 //! architecture is reproduced with the *same layer topology and split position* but smaller
-//! spatial resolution and channel counts (see DESIGN.md §1). Each builder returns an
+//! spatial resolution and channel counts. Each builder returns an
 //! [`ArchSpec`] describing the input shape, class count and the split-layer index that
 //! corresponds to the paper's split point (3rd / 4th / 5th / 13th learnable layer).
 

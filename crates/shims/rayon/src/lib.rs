@@ -47,7 +47,12 @@ pub fn current_num_threads() -> usize {
     }
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("RAYON_NUM_THREADS")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the shim cannot depend on mergesfl_nn::env; RAYON_NUM_THREADS is upstream's knob"
+        )]
+        let raw = std::env::var("RAYON_NUM_THREADS");
+        raw
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)

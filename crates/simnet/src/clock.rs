@@ -117,7 +117,6 @@ impl RoundTiming {
     /// Creates the timing record of a split round whose server stage is partitioned
     /// across parameter-server shards, each with its own per-iteration ingress drain and
     /// critical/overlappable server parts, plus the round's cross-shard sync cost.
-    #[allow(clippy::too_many_arguments)]
     pub fn with_sharded_stages(
         worker_durations: Vec<f64>,
         sync_overhead: f64,

@@ -28,8 +28,8 @@
 //! as fast as the CPU allows while the simulator charges the time the paper's hardware
 //! would have taken.
 
-// No unsafe anywhere in this crate: the only audited unsafe in the workspace
-// lives in mergesfl_nn (pool.rs, kernels/gemm.rs) — see the unsafe-audit lint rule.
+// No unsafe anywhere in this crate: the workspace's only audited unsafe lives in
+// mergesfl_nn (pool.rs, kernels/gemm.rs, kernels/micro.rs).
 #![forbid(unsafe_code)]
 
 pub mod bandwidth;

@@ -10,8 +10,8 @@
 //! * [`mergesfl_simnet`] — edge-cluster simulator (devices, bandwidth, clock, traffic).
 //! * [`mergesfl`] — the MergeSFL split-federated-learning framework and baselines.
 
-// No unsafe anywhere in this crate: the only audited unsafe in the workspace
-// lives in mergesfl_nn (pool.rs, kernels/gemm.rs) — see the unsafe-audit lint rule.
+// No unsafe anywhere in this crate: the workspace's only audited unsafe lives in
+// mergesfl_nn (pool.rs, kernels/gemm.rs, kernels/micro.rs).
 #![forbid(unsafe_code)]
 
 pub use mergesfl;

@@ -13,7 +13,10 @@ use mergesfl_data::DatasetKind;
 /// (accuracy, loss), the traffic, the cohort decisions, and the per-round makespans of
 /// *both* schedules (which depend only on the plan and cluster, not on which schedule
 /// advanced the clock). Pipelined and barrier runs must agree on all of it bit for bit.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "a flat tuple compared with assert_eq!, never named elsewhere"
+)]
 fn trajectory(r: &RunResult) -> Vec<(usize, Option<f32>, f32, f64, f64, f64, usize, usize, f32)> {
     r.records
         .iter()
