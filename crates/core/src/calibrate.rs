@@ -314,6 +314,33 @@ mod tests {
     }
 
     #[test]
+    fn model_profile_literals_are_the_calibrated_values_bit_for_bit() {
+        for arch in Architecture::all() {
+            let model = ServerCostModel::from_measurements(arch, REFERENCE_MEASUREMENTS);
+            let profile = mergesfl_simnet::ModelProfile::for_architecture(arch);
+            println!(
+                "{arch:?}: formula {:?} (0x{:016x}) / {:?}, literal {:?} (0x{:016x}) / {:?}",
+                model.gflops,
+                model.gflops.to_bits(),
+                model.critical_fraction,
+                profile.server_gflops,
+                profile.server_gflops.to_bits(),
+                profile.server_critical_fraction,
+            );
+            assert_eq!(
+                profile.server_gflops.to_bits(),
+                model.gflops.to_bits(),
+                "{arch:?}"
+            );
+            assert_eq!(
+                profile.server_critical_fraction.to_bits(),
+                model.critical_fraction.to_bits(),
+                "{arch:?}"
+            );
+        }
+    }
+
+    #[test]
     fn calibration_differs_across_architectures() {
         // The point of calibration: conv-bound and GEMM-bound top models must not be
         // charged the same server throughput, and the measured backward/forward balance

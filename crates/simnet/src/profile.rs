@@ -49,6 +49,11 @@ pub struct ModelProfile {
     pub full_gflop_per_sample: f64,
     /// Training workload per sample in GFLOPs for the worker-side bottom model only.
     pub bottom_gflop_per_sample: f64,
+    /// Effective parameter-server throughput on this architecture's top model, GFLOP/s.
+    pub server_gflops: f64,
+    /// Fraction of a top-model step that gates gradient dispatch (forward plus the
+    /// input-gradient half of backward); the rest overlaps with the workers.
+    pub server_critical_fraction: f64,
 }
 
 impl ModelProfile {
@@ -65,6 +70,8 @@ impl ModelProfile {
                 feature_bytes_per_sample: 2.0 * 1024.0,
                 full_gflop_per_sample: 0.018,
                 bottom_gflop_per_sample: 0.012,
+                server_gflops: 352.9776973417413,
+                server_critical_fraction: 0.6666666666666666,
             },
             Architecture::CnnS => Self {
                 full_model_bytes: 7.0 * MB,
@@ -72,6 +79,8 @@ impl ModelProfile {
                 feature_bytes_per_sample: 1.5 * 1024.0,
                 full_gflop_per_sample: 0.05,
                 bottom_gflop_per_sample: 0.04,
+                server_gflops: 151.7937700491847,
+                server_critical_fraction: 0.5963028945048486,
             },
             Architecture::AlexNetLite => Self {
                 full_model_bytes: 136.0 * MB,
@@ -79,6 +88,8 @@ impl ModelProfile {
                 feature_bytes_per_sample: 9.0 * 1024.0,
                 full_gflop_per_sample: 0.35,
                 bottom_gflop_per_sample: 0.25,
+                server_gflops: 396.1843775163836,
+                server_critical_fraction: 0.6637400589695007,
             },
             Architecture::Vgg16Lite => Self {
                 full_model_bytes: 321.0 * MB,
@@ -86,6 +97,8 @@ impl ModelProfile {
                 feature_bytes_per_sample: 3.0 * MB / 64.0,
                 full_gflop_per_sample: 2.8,
                 bottom_gflop_per_sample: 2.2,
+                server_gflops: 3379.3822089784153,
+                server_critical_fraction: 0.7936307133014747,
             },
         }
     }
