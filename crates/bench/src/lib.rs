@@ -133,7 +133,8 @@ pub fn print_makespan_summary(results: &[RunResult]) {
 /// (output-partitioned) across the parameter-server shards, the per-iteration server
 /// seconds each shard carried, the topology's server-plane cost — total cross-shard sync
 /// time for replication, total activation-exchange traffic for partitioning — and the
-/// calibrated cost model the run was charged under. FL baselines (no split server) are
+/// server throughput and critical fraction the run was charged under (the
+/// architecture's `ModelProfile` constants). FL baselines (no split server) are
 /// skipped.
 pub fn print_shard_summary(results: &[RunResult]) {
     let sharded: Vec<&RunResult> = results

@@ -396,7 +396,7 @@ impl FlEngine {
             fleet_registered: self.config.num_workers,
             fleet_active: self.config.num_workers,
             // Full-model FL has no split server stage: no shard breakdown, no sync, and
-            // the uncalibrated aggregation-cost constants for the record.
+            // the architecture-independent aggregation-cost constants for the record.
             shards: Vec::new(),
             topology: Default::default(),
             exchange_bytes: 0.0,

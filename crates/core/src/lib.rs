@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baselines;
-pub mod calibrate;
 pub mod config;
 pub mod control;
 pub mod experiment;

@@ -6,7 +6,6 @@
 //! realises is decided by an [`SflStrategy`]: MergeSFL enables every mechanism, the
 //! ablations and baselines switch individual mechanisms off.
 
-use crate::calibrate::ServerCostModel;
 use crate::config::RunConfig;
 use crate::control::{ControlModule, PlanOptions, RoundPlan};
 use crate::metrics::{RoundRecord, RunResult, ShardBreakdown};
@@ -165,7 +164,6 @@ pub struct SflEngine {
     control: ControlModule,
     churn: ChurnModel,
     server: ShardedServer,
-    cost_model: ServerCostModel,
     workers: Vec<SflWorker>,
     eval_bottom: Sequential,
     eval_indices: Vec<usize>,
@@ -244,7 +242,6 @@ impl SflEngine {
             }
         };
         server.set_staleness(config.staleness);
-        let cost_model = ServerCostModel::for_architecture(spec.architecture);
 
         // Eagerly materializing one SflWorker (a full bottom-model replica plus loader
         // state) per registered client is exactly what a million-client fleet cannot
@@ -310,7 +307,6 @@ impl SflEngine {
             control,
             churn: config.churn_model(),
             server,
-            cost_model,
             workers,
             eval_bottom,
             eval_indices,
@@ -432,8 +428,8 @@ impl SflEngine {
                 topology: self.server.topology(),
                 exchange_bytes: 0.0,
                 cross_sync_seconds,
-                server_gflops: self.cost_model.gflops,
-                server_critical_fraction: self.cost_model.critical_fraction,
+                server_gflops: self.cluster.profile().server_gflops,
+                server_critical_fraction: self.cluster.profile().server_critical_fraction,
                 staleness: self.config.staleness,
                 version_lag: Vec::new(),
                 pool_pages: pool.pages as usize,
@@ -627,8 +623,8 @@ impl SflEngine {
             topology: self.server.topology(),
             exchange_bytes,
             cross_sync_seconds,
-            server_gflops: self.cost_model.gflops,
-            server_critical_fraction: self.cost_model.critical_fraction,
+            server_gflops: self.cluster.profile().server_gflops,
+            server_critical_fraction: self.cluster.profile().server_critical_fraction,
             staleness: self.config.staleness,
             version_lag: self.server.take_lag_counts(),
             pool_pages: pool.pages as usize,
@@ -669,9 +665,9 @@ impl SflEngine {
     /// Computes the simulated round timing for the selected cohort, including the
     /// per-shard stage breakdown: worker iterations, then per parameter-server shard the
     /// drain of its routed uploads through its own ingress link and its top-model step
-    /// split into dispatch-critical and overlappable parts at the calibrated
-    /// per-architecture cost model. Returns the timing plus the shard breakdown recorded
-    /// in the round's `RoundRecord`.
+    /// split into dispatch-critical and overlappable parts at the architecture's
+    /// [`ModelProfile`] server throughput and critical fraction. Returns the timing plus
+    /// the shard breakdown recorded in the round's `RoundRecord`.
     fn round_timing(
         &self,
         plan: &RoundPlan,
@@ -698,7 +694,7 @@ impl SflEngine {
         // link (each PS instance brings its own NIC, so sharding divides the quantity
         // Eq. 10 budgets — routed members' batches under replication, an even stripe of
         // the merged batch under output partitioning), and the shard's top-model step at
-        // the calibrated throughput. Replicated shards step on their routed sub-batch;
+        // the profile's server throughput. Replicated shards step on their routed sub-batch;
         // output-partitioned shards each carry a `1/S` column slice of the full merged
         // step — the ideal whole-head tensor-parallel division (every top layer
         // column-partitioned; a column split computes the same numbers, so the step
@@ -710,25 +706,22 @@ impl SflEngine {
         // the next iteration.
         let profile = self.cluster.profile();
         let budget = self.cluster.ps_ingress_budget().max(1.0);
-        let top_gflop = profile.top_gflop_per_sample();
         let mut shard_ingress = Vec::with_capacity(plan.num_shards);
         let mut shard_critical = Vec::with_capacity(plan.num_shards);
         let mut shard_overlap = Vec::with_capacity(plan.num_shards);
         let mut breakdown = Vec::with_capacity(plan.num_shards);
         let partitioned = plan.topology == ShardTopology::OutputPartitioned;
-        let full_step = self
-            .cost_model
-            .server_step_seconds(top_gflop, plan.total_batch());
+        let full_step = profile.server_step_seconds(plan.total_batch());
         for shard in 0..plan.num_shards {
             let batch = plan.shard_batch(shard);
             let ingress = batch as f64 * profile.feature_bytes_per_sample / budget;
             let step = if partitioned {
                 full_step / plan.num_shards as f64
             } else {
-                self.cost_model.server_step_seconds(top_gflop, batch)
+                profile.server_step_seconds(batch)
             };
-            let critical = self.cost_model.critical_fraction * step;
-            let overlap = (1.0 - self.cost_model.critical_fraction) * step;
+            let critical = profile.server_critical_fraction * step;
+            let overlap = (1.0 - profile.server_critical_fraction) * step;
             shard_ingress.push(ingress);
             shard_critical.push(critical);
             shard_overlap.push(overlap);

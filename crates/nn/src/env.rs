@@ -30,7 +30,6 @@
 //! | `MERGESFL_CHURN_PERIOD` | `mergesfl::config` | diurnal availability-wave period in rounds (default 48) |
 //! | `MERGESFL_CHURN_MIN_AVAIL` | `mergesfl::config` | availability floor in (0, 1] (default 0.6) |
 //! | `MERGESFL_CHURN_DROPOUT` | `mergesfl::config` | mid-round dropout probability in [0, 1) (default 0.05) |
-//! | `MERGESFL_BENCH_JSON` | `mergesfl::calibrate` | path of a `BENCH_kernels.json` to *read* server-cost calibration measurements from (default: the frozen reference snapshot) |
 //! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (default 0.70) |
 //! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default; also when unset or empty) / `standard` / `paper`; any other value panics |
 //! | `MERGESFL_JSON` | `mergesfl_bench` | `1` switches bench output to JSON lines |

@@ -209,9 +209,8 @@ impl Cluster {
     }
 
     /// Seconds the parameter server spends on one top-model step over a merged batch of
-    /// `total_batch` samples, at the uncalibrated [`crate::profile::SERVER_GFLOPS`]
-    /// baseline (the SFL engine charges its calibrated per-architecture cost model
-    /// instead — see `ModelProfile::server_step_seconds`).
+    /// `total_batch` samples, at the architecture's server throughput (see
+    /// [`ModelProfile::server_step_seconds`]).
     pub fn server_step_seconds(&self, total_batch: usize) -> f64 {
         self.profile.server_step_seconds(total_batch)
     }

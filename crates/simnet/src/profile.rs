@@ -12,10 +12,13 @@ use serde::{Deserialize, Serialize};
 
 const MB: f64 = 1024.0 * 1024.0;
 
-/// Effective training throughput of the parameter server's GPU workstation, in GFLOP/s.
-/// The paper's PS is a deep-learning workstation whose sustained throughput dwarfs the
-/// Jetson workers (whose effective rates are single-digit GFLOP/s at best); 2 TFLOP/s of
-/// sustained training throughput is a conservative figure for such a machine.
+/// Architecture-independent throughput of the parameter server's GPU workstation, in
+/// GFLOP/s. The paper's PS is a deep-learning workstation whose sustained throughput
+/// dwarfs the Jetson workers (whose effective rates are single-digit GFLOP/s at best);
+/// 2 TFLOP/s of sustained training throughput is a conservative figure for such a
+/// machine. It charges FedAvg aggregation ([`ModelProfile::aggregate_seconds_per_state`])
+/// and is what the FL engine records; the split top-model step is charged at the
+/// per-architecture [`ModelProfile::server_gflops`] instead.
 pub const SERVER_GFLOPS: f64 = 2000.0;
 
 /// Fraction of a server top-model step that must complete before the split-layer
@@ -23,9 +26,9 @@ pub const SERVER_GFLOPS: f64 = 2000.0;
 /// optimizer update of the top model and per-round bookkeeping — can overlap with the
 /// workers' bottom-backward and next bottom-forward in the pipelined schedule.
 ///
-/// Both this and [`SERVER_GFLOPS`] are the *uncalibrated* defaults; the SFL engine
-/// charges per-architecture values calibrated from measured `kernel_bench` timings
-/// (`mergesfl::calibrate::ServerCostModel`) and records them in every `RoundRecord`.
+/// This is the architecture-independent value the FL engine records (it has no split
+/// top-model step); the SFL engine charges and records the per-architecture
+/// [`ModelProfile::server_critical_fraction`].
 pub const SERVER_CRITICAL_FRACTION: f64 = 0.75;
 
 /// Bandwidth of the datacenter interconnect between parameter-server shards, in Gb/s.
@@ -50,9 +53,12 @@ pub struct ModelProfile {
     /// Training workload per sample in GFLOPs for the worker-side bottom model only.
     pub bottom_gflop_per_sample: f64,
     /// Effective parameter-server throughput on this architecture's top model, GFLOP/s.
+    /// Small fully-connected GEMMs sustain a fraction of what large square GEMMs do, so
+    /// the rate depends on the top model's kernel mix.
     pub server_gflops: f64,
     /// Fraction of a top-model step that gates gradient dispatch (forward plus the
-    /// input-gradient half of backward); the rest overlaps with the workers.
+    /// input-gradient half of backward); the rest — the weight-gradient half and the
+    /// optimizer update — overlaps with the workers in the pipelined schedule.
     pub server_critical_fraction: f64,
 }
 
@@ -62,6 +68,12 @@ impl ModelProfile {
     /// AlexNet (136 MB) and VGG16 (321 MB, 56 MB bottom, ~3 MB features at batch 64) use the
     /// figures quoted in the paper; CNN-H and CNN-S use sizes consistent with their layer
     /// counts and input dimensions.
+    ///
+    /// The two server fields were derived once from blocked-kernel timings of the shapes
+    /// each top model is dominated by: the throughput scales [`SERVER_GFLOPS`] by that
+    /// mix's measured FLOP rate relative to the rate of the whole benchmark zoo, and the
+    /// critical fraction is `(t_fwd + t_bwd/2) / (t_fwd + t_bwd)`. They are model
+    /// constants: editing one moves the simulated clock of every figure.
     pub fn for_architecture(arch: Architecture) -> Self {
         match arch {
             Architecture::CnnH => Self {
@@ -174,12 +186,10 @@ impl ModelProfile {
     }
 
     /// Seconds the parameter server spends on one top-model step over a merged batch of
-    /// `total_batch` samples (forward + backward + update) at the **uncalibrated**
-    /// [`SERVER_GFLOPS`] baseline. The SFL engine charges the per-architecture
-    /// calibrated model (`mergesfl::calibrate::ServerCostModel`) instead; this baseline
-    /// remains for callers without access to kernel measurements.
+    /// `total_batch` samples (forward + backward + update) at this architecture's
+    /// [`ModelProfile::server_gflops`].
     pub fn server_step_seconds(&self, total_batch: usize) -> f64 {
-        total_batch as f64 * self.top_gflop_per_sample() / SERVER_GFLOPS
+        total_batch as f64 * self.top_gflop_per_sample() / self.server_gflops
     }
 
     /// Seconds the parameter server spends folding one worker's full-model state into the
@@ -233,7 +243,65 @@ mod tests {
             // The PS is far faster than the workers: a batch-64 top step stays well under
             // a second even for VGG16.
             assert!(step < 1.0, "{arch:?}: server step {step} implausibly slow");
+            assert!(
+                (0.05..=0.95).contains(&p.server_critical_fraction),
+                "{arch:?}: critical fraction {} out of the plausible band",
+                p.server_critical_fraction
+            );
             assert!(p.aggregate_seconds_per_state() > 0.0, "{arch:?}");
+        }
+    }
+
+    #[test]
+    fn server_throughput_spreads_across_architectures() {
+        // Conv-bound and GEMM-bound top models are not charged the same server
+        // throughput, and the measured backward/forward balance separates at least some
+        // critical fractions.
+        let profiles: Vec<ModelProfile> = Architecture::all()
+            .into_iter()
+            .map(ModelProfile::for_architecture)
+            .collect();
+        let mut rates: Vec<f64> = profiles.iter().map(|p| p.server_gflops).collect();
+        rates.sort_by(f64::total_cmp);
+        assert!(
+            rates[rates.len() - 1] / rates[0] > 2.0,
+            "throughput spread {rates:?} too small to matter"
+        );
+        let fractions: Vec<f64> = profiles
+            .iter()
+            .map(|p| p.server_critical_fraction)
+            .collect();
+        assert!(
+            fractions.iter().any(|f| (f - fractions[0]).abs() > 1e-3),
+            "critical fractions {fractions:?} degenerate to a single constant"
+        );
+    }
+
+    #[test]
+    fn gemm_dominated_vgg_is_charged_the_fastest_server() {
+        let vgg = ModelProfile::for_architecture(Architecture::Vgg16Lite);
+        for arch in [
+            Architecture::CnnH,
+            Architecture::CnnS,
+            Architecture::AlexNetLite,
+        ] {
+            let other = ModelProfile::for_architecture(arch).server_gflops;
+            assert!(
+                vgg.server_gflops > other,
+                "VGG {} should beat {arch:?} {other}",
+                vgg.server_gflops
+            );
+        }
+    }
+
+    #[test]
+    fn server_step_scales_linearly_with_batch() {
+        for arch in Architecture::all() {
+            let p = ModelProfile::for_architecture(arch);
+            let one = p.server_step_seconds(8);
+            let eight = p.server_step_seconds(64);
+            assert!(one > 0.0, "{arch:?}");
+            assert!((eight - 8.0 * one).abs() < 1e-12, "{arch:?}");
         }
     }
 
