@@ -6,7 +6,6 @@
 
 use crate::json::{self, JsonValue};
 use crate::sfl::server::ShardTopology;
-use mergesfl_simnet::profile::{SERVER_CRITICAL_FRACTION, SERVER_GFLOPS};
 use serde::{Deserialize, Serialize};
 
 /// Per-shard slice of one round's server-side timing: how one parameter-server instance
@@ -62,17 +61,16 @@ pub struct RoundRecord {
     /// KL divergence of the selected cohort's label mixture from the IID reference.
     pub cohort_kl: f32,
     /// Registered fleet size the round planned over (equals the worker count for
-    /// classic fixed-cohort runs; 0 for legacy records).
+    /// classic fixed-cohort runs).
     pub fleet_registered: usize,
     /// Per-client registry records the planner actually touched this round — the active
-    /// set of the event-driven fleet path (the whole fleet on the dense path; 0 for
-    /// legacy records). The scalability contract is `fleet_active ≪ fleet_registered`.
+    /// set of the event-driven fleet path (the whole fleet on the dense path). The
+    /// scalability contract is `fleet_active ≪ fleet_registered`.
     pub fleet_active: usize,
     /// Per-shard server-side breakdown of the round (one entry per parameter-server
-    /// shard the plan routed uploads to; empty for FL rounds and legacy records).
+    /// shard the plan routed uploads to; empty for FL rounds).
     pub shards: Vec<ShardBreakdown>,
-    /// Server topology the round trained under (`Replicated` for FL rounds and legacy
-    /// records — the only layout that existed before topologies were recorded).
+    /// Server topology the round trained under (`Replicated` for FL rounds).
     pub topology: ShardTopology,
     /// Cross-shard top-model sync charged this round, seconds (0 when no sync was due,
     /// a single shard serves the round, or the topology never syncs state).
@@ -82,27 +80,28 @@ pub struct RoundRecord {
     /// round's iterations; 0 under replication, whose server-plane cost is the periodic
     /// sync reported in `cross_sync_seconds`).
     pub exchange_bytes: f64,
-    /// Calibrated server throughput the round was charged at, GFLOP/s
-    /// (`mergesfl::calibrate::ServerCostModel`; the global constant for legacy records).
+    /// Server throughput the round's top-model steps were charged at, GFLOP/s: the
+    /// architecture's `ModelProfile::server_gflops` for SFL rounds, the global
+    /// `SERVER_GFLOPS` for FL rounds.
     pub server_gflops: f64,
-    /// Calibrated dispatch-critical fraction of a server step the round was charged with.
+    /// Dispatch-critical fraction of a server step the round was charged with (the
+    /// architecture's `ModelProfile::server_critical_fraction` for SFL rounds).
     pub server_critical_fraction: f64,
-    /// Bounded-staleness window `k` the round trained under (0 for the synchronous loop,
-    /// FL rounds and legacy records).
+    /// Bounded-staleness window `k` the round trained under (0 for the synchronous loop
+    /// and FL rounds).
     pub staleness: usize,
     /// Histogram of observed top-model version lags this round (index = lag in optimizer
-    /// steps, length `staleness + 1`); empty for synchronous rounds, FL rounds and
-    /// legacy records.
+    /// steps, length `staleness + 1`); empty for synchronous rounds and FL rounds.
     pub version_lag: Vec<usize>,
     /// Pages held by the tensor memory pool at the end of the round (cumulative: pages
-    /// are never freed, only recycled). 0 for legacy records and pool-disabled runs.
+    /// are never freed, only recycled). 0 for pool-disabled runs.
     pub pool_pages: usize,
-    /// Bytes held by the tensor memory pool at the end of the round. 0 for legacy
-    /// records and pool-disabled runs.
+    /// Bytes held by the tensor memory pool at the end of the round. 0 for pool-disabled
+    /// runs.
     pub pool_bytes: usize,
     /// Fraction of this round's pool checkouts served without a heap allocation
     /// (local hit or reservoir refill). 1.0 after warmup on the steady-state path;
-    /// 0.0 for legacy records and pool-disabled runs.
+    /// 0.0 for pool-disabled runs.
     pub pool_hit_rate: f64,
 }
 
@@ -363,42 +362,40 @@ impl RunResult {
             .get("records")
             .and_then(JsonValue::as_array)
             .ok_or("missing 'records' array")?;
-        // Fields introduced by the sharded-server refactor are optional so traces written
-        // by the single-server versions of this format keep parsing: legacy records get
-        // an empty shard breakdown, no sync cost and the old global cost constants.
-        let opt_num = |value: &JsonValue, key: &str, default: f64| -> Result<f64, String> {
-            match value.get(key) {
-                None => Ok(default),
-                Some(JsonValue::Null) => Ok(f64::NAN),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| format!("non-numeric field '{key}'")),
-            }
-        };
+        fn array<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
+            value
+                .get(key)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("missing array field '{key}'"))
+        }
         for r in records {
-            let shards = match r.get("shards") {
-                None => Vec::new(),
-                Some(v) => {
-                    let entries = v.as_array().ok_or("non-array 'shards'")?;
-                    let mut out = Vec::with_capacity(entries.len());
-                    for s in entries {
-                        out.push(ShardBreakdown {
-                            shard: int(s, "shard")?,
-                            participants: int(s, "participants")?,
-                            batch: int(s, "batch")?,
-                            ingress_seconds: num(s, "ingress_seconds")?,
-                            server_critical_seconds: num(s, "server_critical_seconds")?,
-                            server_overlap_seconds: num(s, "server_overlap_seconds")?,
-                        });
-                    }
-                    out
+            let mut shards = Vec::new();
+            for s in array(r, "shards")? {
+                shards.push(ShardBreakdown {
+                    shard: int(s, "shard")?,
+                    participants: int(s, "participants")?,
+                    batch: int(s, "batch")?,
+                    ingress_seconds: num(s, "ingress_seconds")?,
+                    server_critical_seconds: num(s, "server_critical_seconds")?,
+                    server_overlap_seconds: num(s, "server_overlap_seconds")?,
+                });
+            }
+            let mut version_lag = Vec::new();
+            for e in array(r, "version_lag")? {
+                let n = e.as_f64().ok_or("non-numeric 'version_lag' entry")?;
+                if !n.is_finite() || n < 0.0 {
+                    return Err(
+                        "'version_lag' entry is not a valid non-negative integer".to_string()
+                    );
                 }
-            };
+                version_lag.push(n as usize);
+            }
             result.push(RoundRecord {
                 round: int(r, "round")?,
                 sim_time: num(r, "sim_time")?,
                 accuracy: match r.get("accuracy") {
-                    Some(JsonValue::Null) | None => None,
+                    None => return Err("missing field 'accuracy'".to_string()),
+                    Some(JsonValue::Null) => None,
                     Some(v) => Some(v.as_f64().ok_or("non-numeric 'accuracy'")? as f32),
                 },
                 train_loss: num(r, "train_loss")? as f32,
@@ -409,67 +406,23 @@ impl RunResult {
                 participants: int(r, "participants")?,
                 total_batch: int(r, "total_batch")?,
                 cohort_kl: num(r, "cohort_kl")? as f32,
-                // Records written before the fleet axis planned over exactly the worker
-                // set but did not say so; 0 keeps them distinguishable from real gauges.
-                fleet_registered: match r.get("fleet_registered") {
-                    None => 0,
-                    Some(_) => int(r, "fleet_registered")?,
-                },
-                fleet_active: match r.get("fleet_active") {
-                    None => 0,
-                    Some(_) => int(r, "fleet_active")?,
-                },
+                fleet_registered: int(r, "fleet_registered")?,
+                fleet_active: int(r, "fleet_active")?,
                 shards,
-                // Legacy records predate topology accounting: everything written before
-                // output partitioning existed was the replicated layout (or a single
-                // server, which the replicated name covers) with no activation exchange.
                 topology: r
                     .get("topology")
                     .and_then(JsonValue::as_str)
                     .and_then(ShardTopology::parse)
-                    .unwrap_or_default(),
-                exchange_bytes: opt_num(r, "exchange_bytes", 0.0)?,
-                cross_sync_seconds: opt_num(r, "cross_sync_seconds", 0.0)?,
-                server_gflops: opt_num(r, "server_gflops", SERVER_GFLOPS)?,
-                server_critical_fraction: opt_num(
-                    r,
-                    "server_critical_fraction",
-                    SERVER_CRITICAL_FRACTION,
-                )?,
-                // Records written before the bounded-staleness mode are synchronous:
-                // window 0, no lag histogram.
-                staleness: match r.get("staleness") {
-                    None => 0,
-                    Some(_) => int(r, "staleness")?,
-                },
-                // Records written before the tensor memory pool report no pool activity.
-                pool_pages: match r.get("pool_pages") {
-                    None => 0,
-                    Some(_) => int(r, "pool_pages")?,
-                },
-                pool_bytes: match r.get("pool_bytes") {
-                    None => 0,
-                    Some(_) => int(r, "pool_bytes")?,
-                },
-                pool_hit_rate: opt_num(r, "pool_hit_rate", 0.0)?,
-                version_lag: match r.get("version_lag") {
-                    None => Vec::new(),
-                    Some(v) => {
-                        let entries = v.as_array().ok_or("non-array 'version_lag'")?;
-                        let mut out = Vec::with_capacity(entries.len());
-                        for e in entries {
-                            let n = e.as_f64().ok_or("non-numeric 'version_lag' entry")?;
-                            if !n.is_finite() || n < 0.0 {
-                                return Err(
-                                    "'version_lag' entry is not a valid non-negative integer"
-                                        .to_string(),
-                                );
-                            }
-                            out.push(n as usize);
-                        }
-                        out
-                    }
-                },
+                    .ok_or("missing or unknown 'topology'")?,
+                exchange_bytes: num(r, "exchange_bytes")?,
+                cross_sync_seconds: num(r, "cross_sync_seconds")?,
+                server_gflops: num(r, "server_gflops")?,
+                server_critical_fraction: num(r, "server_critical_fraction")?,
+                staleness: int(r, "staleness")?,
+                pool_pages: int(r, "pool_pages")?,
+                pool_bytes: int(r, "pool_bytes")?,
+                pool_hit_rate: num(r, "pool_hit_rate")?,
+                version_lag,
             });
         }
         Ok(result)
@@ -632,40 +585,68 @@ mod tests {
         assert_eq!(back, r);
     }
 
+    /// Serialises a parsed document back to text (test-only inverse of `json::parse`).
+    fn write_value(value: &JsonValue, out: &mut String) {
+        match value {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => json::write_f64(out, *n),
+            JsonValue::String(s) => json::write_escaped(out, s),
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_value(item, out);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(map) => {
+                out.push('{');
+                for (i, (key, item)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json::write_escaped(out, key);
+                    out.push(':');
+                    write_value(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
     #[test]
-    fn legacy_single_shard_records_still_parse() {
-        // A record written before the sharded-server refactor: no shards array, no sync
-        // cost, no calibrated constants. Parsing must succeed with the documented
-        // defaults so fig8/fig9 post-processing keeps working on archived traces.
-        let legacy = r#"{"approach":"MergeSFL","dataset":"HAR","non_iid_level":10,
-"records":[{"round":0,"sim_time":10,"accuracy":0.2,"train_loss":1,
-"avg_waiting_time":2,"round_makespan_barrier":12,"round_makespan_pipelined":9,
-"traffic_mb":5,"participants":5,"total_batch":40,"cohort_kl":0.01}]}"#;
-        let parsed = RunResult::from_json(legacy).unwrap();
-        assert_eq!(parsed.records.len(), 1);
-        let r = &parsed.records[0];
-        assert!(r.shards.is_empty());
-        assert_eq!(r.cross_sync_seconds, 0.0);
-        assert_eq!(r.topology, ShardTopology::Replicated);
-        assert_eq!(r.exchange_bytes, 0.0);
-        assert_eq!(r.server_gflops, mergesfl_simnet::profile::SERVER_GFLOPS);
-        assert_eq!(
-            r.server_critical_fraction,
-            mergesfl_simnet::profile::SERVER_CRITICAL_FRACTION
-        );
-        // Pre-staleness records are synchronous: window 0, no lag histogram.
-        assert_eq!(r.staleness, 0);
-        assert!(r.version_lag.is_empty());
-        // Pre-pool records report no pool activity.
-        assert_eq!(r.pool_pages, 0);
-        assert_eq!(r.pool_bytes, 0);
-        assert_eq!(r.pool_hit_rate, 0.0);
-        // Pre-fleet records carry no fleet gauges.
-        assert_eq!(r.fleet_registered, 0);
-        assert_eq!(r.fleet_active, 0);
-        // And a re-serialised legacy record round-trips through the new schema.
-        let back = RunResult::from_json(&parsed.to_json()).unwrap();
-        assert_eq!(back, parsed);
+    fn every_record_field_is_required() {
+        // `to_json` writes every field, so a record missing any one key was not written
+        // by it and must be rejected rather than silently defaulted.
+        let doc = json::parse(&sample_run().to_json()).unwrap();
+        let mut text = String::new();
+        write_value(&doc, &mut text);
+        assert_eq!(RunResult::from_json(&text).unwrap(), sample_run());
+        let keys: Vec<String> = match &doc.get("records").unwrap().as_array().unwrap()[0] {
+            JsonValue::Object(map) => map.keys().cloned().collect(),
+            other => panic!("record is not an object: {other:?}"),
+        };
+        assert_eq!(keys.len(), 24, "one key per RoundRecord field: {keys:?}");
+        for key in &keys {
+            let mut pruned = doc.clone();
+            let JsonValue::Object(top) = &mut pruned else {
+                unreachable!()
+            };
+            let Some(JsonValue::Array(records)) = top.get_mut("records") else {
+                unreachable!()
+            };
+            let JsonValue::Object(record) = &mut records[0] else {
+                unreachable!()
+            };
+            record.remove(key);
+            let mut text = String::new();
+            write_value(&pruned, &mut text);
+            let err = RunResult::from_json(&text).expect_err(key);
+            assert!(err.contains(key.as_str()), "{key}: {err}");
+        }
     }
 
     #[test]
