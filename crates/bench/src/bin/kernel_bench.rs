@@ -15,8 +15,8 @@
 //!   2. the blocked backend must not be slower than the naive oracle on any convolution
 //!      case — every zoo stage, forward and backward;
 //!   3. the gate-shape speedup must stay within `MERGESFL_PERF_FLOOR` (default 0.70) of
-//!      the committed `BENCH_kernels.json` baseline, when one is present — a
-//!      noise-tolerant regression floor rather than an exact match;
+//!      the committed `BENCH_kernels.json` baseline — a noise-tolerant regression floor
+//!      rather than an exact match; a missing or unparsable baseline fails the gate;
 //!   4. with the tensor pool enabled, every blocked GEMM/conv case and every max-pool /
 //!      ReLU case must run with zero steady-state heap allocations per iteration —
 //!      including the double-buffered driver on the gate shape
@@ -224,8 +224,8 @@ fn zoo() -> Vec<Entry> {
             name: "linear_alexnet_fc1_b64",
             case: gemm(Trans::Nt, 64, 48, 64),
         },
-        // VGG16-Lite head FC layers at the server's training batch size: the shapes
-        // `ServerCostModel` calibrates per-architecture costs from.
+        // VGG16-Lite head FC layers at the server's training batch size, among the shapes
+        // the simulated server's per-architecture throughput was derived from.
         Entry {
             name: "linear_vgg_fc1_b32",
             case: gemm(Trans::Nt, 32, 64, 16),
@@ -285,7 +285,7 @@ fn zoo() -> Vec<Entry> {
         },
     ];
     // Every other convolution stage of the zoo (the entries above predate this table and
-    // keep their names: `calibrate` and the committed trajectory refer to them). The
+    // keep their names: the committed baseline refers to them). The
     // small-plane stages (4x4 and below) are where the per-call staging amortises least.
     entries.extend(conv_stage!("conv2d_cnnh_c1", |b| ConvGeom::conv2d(
         b, 1, 12, 12, 6, 3, 1, 1
@@ -898,19 +898,26 @@ fn measure_allocs(entry: &Entry) -> f64 {
     }
 }
 
-/// The gate-shape speedup recorded in a previously written `BENCH_kernels.json`
-/// (either schema version), if the file exists and parses. Read before `--json`
-/// overwrites the file, this is the committed perf-floor reference.
-fn baseline_gate_speedup(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = json::parse(&text).ok()?;
-    let gate = doc.get("gate").and_then(JsonValue::as_str)?.to_string();
-    doc.get("entries")?
-        .as_array()?
-        .iter()
-        .find(|e| e.get("name").and_then(JsonValue::as_str) == Some(gate.as_str()))?
-        .get("speedup")?
-        .as_f64()
+/// The gate-shape speedup recorded in a previously written `BENCH_kernels.json`, or why
+/// it cannot be read. Read before `--json` overwrites the file, this is the committed
+/// perf-floor reference.
+fn baseline_gate_speedup(path: &str) -> Result<f64, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let gate = doc
+        .get("gate")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("{path}: no \"gate\" shape name"))?;
+    doc.get("entries")
+        .and_then(JsonValue::as_array)
+        .and_then(|entries| {
+            entries
+                .iter()
+                .find(|e| e.get("name").and_then(JsonValue::as_str) == Some(gate))
+        })
+        .and_then(|e| e.get("speedup"))
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("{path}: no speedup recorded for the gate shape {gate}"))
 }
 
 fn render_json(results: &[Measurement], threads: usize) -> String {
@@ -940,8 +947,7 @@ fn render_json(results: &[Measurement], threads: usize) -> String {
             num(round3(r.gflops(r.blocked_ns)))
         ));
         out.push_str(&format!("\"speedup\": {}, ", num(round3(r.speedup()))));
-        // v2 addition; `null` when counting was disabled. v1 consumers
-        // (`calibrate::ServerCostModel`) ignore unknown fields.
+        // `null` when counting was disabled.
         match r.allocs_per_iter {
             Some(a) => out.push_str(&format!("\"allocs_per_iter\": {}", num(round3(a)))),
             None => out.push_str("\"allocs_per_iter\": null"),
@@ -1128,7 +1134,7 @@ fn main() {
             .filter(|f| f.is_finite() && *f > 0.0)
             .unwrap_or(DEFAULT_PERF_FLOOR);
         match baseline_speedup {
-            Some(reference) => {
+            Ok(reference) => {
                 let required = floor * reference;
                 if speedup < required {
                     eprintln!(
@@ -1144,7 +1150,10 @@ fn main() {
                     );
                 }
             }
-            None => println!("perf floor skipped: no parsable committed BENCH_kernels.json"),
+            Err(err) => {
+                eprintln!("PERF FLOOR FAILED: no committed baseline to compare with: {err}");
+                failed = true;
+            }
         }
 
         // Allocation gate: every blocked GEMM/conv case and every pool/ReLU case must be
