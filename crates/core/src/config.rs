@@ -47,13 +47,12 @@ pub struct RunConfig {
     /// sequential execution: every worker owns an RNG derived from the base seed via
     /// `derive_seed`, and results are always reduced in cohort order.
     pub parallel: bool,
-    /// Stage each round through a producer/consumer pipeline so iteration `h+1` worker
-    /// compute overlaps iteration `h` server compute, and charge simulated time with the
-    /// overlap-aware makespan instead of the barrier sum. Model trajectories are
-    /// bit-identical to the barrier loop (updates are still applied in cohort/iteration
-    /// order — only scheduling overlaps); simulated round times are lower. Constructors
-    /// honour the `MERGESFL_PIPELINE` environment variable (`on`/`off`); the barrier loop
-    /// remains the default and the correctness oracle.
+    /// Charge simulated time with the pipelined schedule — iteration `h+1` worker compute
+    /// overlapping iteration `h`'s PS ingress and top-model step — instead of the barrier
+    /// sum. A clock schedule only: every round executes the same way either way, so model
+    /// trajectories are bit-identical and only the simulated round times (lower when
+    /// pipelined) differ. Both makespans are recorded every round. Constructors honour the
+    /// `MERGESFL_PIPELINE` environment variable (`on`/`off`); barrier is the default.
     pub pipeline: bool,
     /// Which compute-kernel backend runs the NN hot path (blocked GEMM/conv panels by default,
     /// or the naive loop-nest oracle). Applied process-wide by `experiment::run`;
@@ -134,10 +133,27 @@ pub struct RunConfig {
     pub churn_dropout: f64,
 }
 
-/// Reads the pipelined-execution default from the `MERGESFL_PIPELINE` environment
-/// variable: `on`/`1`/`true` enable it, anything else (or unset) keeps the barrier loop.
+/// Reads the clock-schedule default from the `MERGESFL_PIPELINE` environment variable;
+/// see `parse_pipeline_setting`.
 pub fn pipeline_from_env() -> bool {
-    env::flag_on("MERGESFL_PIPELINE")
+    parse_pipeline_setting(env::var("MERGESFL_PIPELINE").as_deref())
+}
+
+/// Parses a `MERGESFL_PIPELINE` setting. Unset or empty means the barrier schedule;
+/// `on`/`1`/`true` select the pipelined one and `off`/`0`/`false` the barrier one (ASCII
+/// case-insensitive) — any other value panics instead of silently meaning barrier.
+fn parse_pipeline_setting(setting: Option<&str>) -> bool {
+    let Some(raw) = setting.map(str::trim) else {
+        return false;
+    };
+    match raw.to_ascii_lowercase().as_str() {
+        "" | "off" | "0" | "false" => false,
+        "on" | "1" | "true" => true,
+        _ => panic!(
+            "MERGESFL_PIPELINE={raw:?} is not a clock schedule; \
+             accepted values: on, 1, true, off, 0, false"
+        ),
+    }
 }
 
 /// Reads the tensor-pool toggle from the `MERGESFL_TENSOR_POOL` environment variable;
@@ -535,6 +551,26 @@ mod tests {
     #[should_panic(expected = "accepted values: replicated, partitioned, output-partitioned")]
     fn mistyped_topology_setting_fails_loudly() {
         parse_topology_setting(Some("partitoned"));
+    }
+
+    #[test]
+    fn pipeline_setting_parses_the_accepted_values() {
+        assert!(!parse_pipeline_setting(None));
+        assert!(!parse_pipeline_setting(Some("")));
+        for on in ["on", "1", "true", "ON", "True", " on "] {
+            assert!(parse_pipeline_setting(Some(on)), "{on:?}");
+        }
+        for off in ["off", "0", "false", "OFF", "False"] {
+            assert!(!parse_pipeline_setting(Some(off)), "{off:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MERGESFL_PIPELINE=\"yes\" is not a clock schedule; accepted values: on, 1, true, off, 0, false"
+    )]
+    fn mistyped_pipeline_setting_fails_loudly() {
+        parse_pipeline_setting(Some("yes"));
     }
 
     #[test]

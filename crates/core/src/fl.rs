@@ -161,7 +161,7 @@ impl FlEngine {
             train,
             test,
             cluster,
-            clock: SimClock::with_pipelining(config.pipeline),
+            clock: SimClock::with_schedule(config.pipeline, 0),
             traffic: TrafficMeter::new(),
             estimator: StateEstimator::new(config.num_workers, config.estimate_alpha as f64),
             tracker: ParticipationTracker::new(config.num_workers),
@@ -264,10 +264,9 @@ impl FlEngine {
         let lr = self.lr_schedule.at_round(round);
 
         // Broadcast the global model, run local training (optionally fanned out across
-        // threads and/or streamed through the aggregation pipeline), then aggregate.
-        // Execution modes are bit-identical: each worker's loader owns a derived-seed RNG,
-        // and states and losses are always reduced in cohort order with the aggregation
-        // weights fixed up front.
+        // threads), then aggregate. Parallel and sequential fan-out are bit-identical:
+        // each worker's loader owns a derived-seed RNG, and states and losses are always
+        // reduced in cohort order with the aggregation weights fixed up front.
         let weights: Vec<f32> = selected
             .iter()
             .map(|&i| self.workers[i].shard_size as f32)
@@ -305,40 +304,23 @@ impl FlEngine {
                 (worker.model.state(), local_loss)
             };
 
-            if self.config.pipeline {
-                // Pipelined: worker states stream through a bounded channel and are folded
-                // into the aggregate in cohort order as they become ready, so the folds of
-                // early arrivals overlap the stragglers' training — the overlap the FL
-                // round's pipelined makespan models.
-                let (aggregate, streamed_loss) = stream_aggregate(
-                    cohort,
-                    &weights,
-                    self.global_model.len(),
-                    self.config.parallel,
-                    &train_one,
-                );
-                let old = std::mem::replace(&mut self.global_model, aggregate);
-                mergesfl_nn::pool::recycle(old);
-                loss_sum = streamed_loss;
+            let outcomes: Vec<(Vec<f32>, f32)> = if self.config.parallel {
+                cohort.into_par_iter().map(&train_one).collect()
             } else {
-                let outcomes: Vec<(Vec<f32>, f32)> = if self.config.parallel {
-                    cohort.into_par_iter().map(&train_one).collect()
-                } else {
-                    cohort.into_iter().map(&train_one).collect()
-                };
-                let mut states = Vec::with_capacity(outcomes.len());
-                for (state, local_loss) in outcomes {
-                    states.push(state);
-                    loss_sum += local_loss;
-                }
-                let old = std::mem::replace(
-                    &mut self.global_model,
-                    weighted_average_states(&states, &weights),
-                );
-                mergesfl_nn::pool::recycle(old);
-                for state in states {
-                    mergesfl_nn::pool::recycle(state);
-                }
+                cohort.into_iter().map(&train_one).collect()
+            };
+            let mut states = Vec::with_capacity(outcomes.len());
+            for (state, local_loss) in outcomes {
+                states.push(state);
+                loss_sum += local_loss;
+            }
+            let old = std::mem::replace(
+                &mut self.global_model,
+                weighted_average_states(&states, &weights),
+            );
+            mergesfl_nn::pool::recycle(old);
+            for state in states {
+                mergesfl_nn::pool::recycle(state);
             }
         }
         self.tracker.record_participation(&selected);
@@ -440,90 +422,6 @@ impl FlEngine {
     pub fn dataset_spec(&self) -> &DatasetSpec {
         &self.spec
     }
-}
-
-/// Trains the cohort on background threads and folds every worker's model state into the
-/// weighted aggregate **in cohort order, as soon as it is ready**, so aggregation work
-/// overlaps the slower workers' training. The fold performs exactly the operations of
-/// [`weighted_average_states`] (same coefficients, same accumulation order), so the result
-/// is bit-identical to the barrier path. Returns the aggregate and the summed local
-/// losses (also reduced in cohort order).
-fn stream_aggregate<F>(
-    mut cohort: Vec<&mut FlWorker>,
-    weights: &[f32],
-    model_len: usize,
-    parallel: bool,
-    train_one: &F,
-) -> (Vec<f32>, f32)
-where
-    F: Fn(&mut FlWorker) -> (Vec<f32>, f32) + Sync,
-{
-    let n = cohort.len();
-    assert_eq!(n, weights.len(), "stream_aggregate: weight count mismatch");
-    let total_weight: f32 = weights.iter().sum();
-    assert!(
-        total_weight > 0.0,
-        "stream_aggregate: weights must sum to a positive value"
-    );
-
-    let mut aggregate = mergesfl_nn::pool::take_zeroed::<f32>(model_len);
-    let mut loss_sum = 0.0f32;
-    let threads = if parallel {
-        rayon::current_num_threads().min(n).max(1)
-    } else {
-        1
-    };
-    let chunk_size = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        // Created inside the scope so a consumer-side panic drops the endpoints during
-        // unwind, letting producer threads observe disconnection before the scope joins
-        // them. (Capacity `n` additionally means producers never block on send.)
-        let (tx, rx) = rayon::channel::bounded::<(usize, Vec<f32>, f32)>(n.max(1));
-        let mut base = 0;
-        while !cohort.is_empty() {
-            let take = chunk_size.min(cohort.len());
-            let chunk: Vec<&mut FlWorker> = cohort.drain(..take).collect();
-            let tx = tx.clone();
-            let chunk_base = base;
-            scope.spawn(move || {
-                for (offset, worker) in chunk.into_iter().enumerate() {
-                    let (state, local_loss) = train_one(worker);
-                    if tx.send((chunk_base + offset, state, local_loss)).is_err() {
-                        return;
-                    }
-                }
-            });
-            base += take;
-        }
-        drop(tx);
-
-        // Reorder buffer: fold strictly in cohort order; out-of-order arrivals wait.
-        let mut pending: Vec<Option<(Vec<f32>, f32)>> = (0..n).map(|_| None).collect();
-        let mut next = 0;
-        while let Some((idx, state, local_loss)) = rx.recv() {
-            assert_eq!(
-                state.len(),
-                model_len,
-                "stream_aggregate: state length mismatch"
-            );
-            pending[idx] = Some((state, local_loss));
-            while next < n && pending[next].is_some() {
-                let (state, local_loss) = pending[next].take().expect("checked above");
-                let coeff = weights[next] / total_weight;
-                for (o, &v) in aggregate.iter_mut().zip(&state) {
-                    *o += coeff * v;
-                }
-                loss_sum += local_loss;
-                mergesfl_nn::pool::recycle(state);
-                next += 1;
-            }
-        }
-        assert_eq!(
-            next, n,
-            "stream_aggregate: a worker never delivered its state"
-        );
-    });
-    (aggregate, loss_sum)
 }
 
 #[cfg(test)]

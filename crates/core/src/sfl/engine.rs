@@ -9,7 +9,7 @@
 use crate::config::RunConfig;
 use crate::control::{ControlModule, PlanOptions, RoundPlan};
 use crate::metrics::{RoundRecord, RunResult, ShardBreakdown};
-use crate::sfl::merge::{align_gradients, merge_feature_refs, FeatureUpload};
+use crate::sfl::merge::{align_gradients, FeatureUpload};
 use crate::sfl::server::{ShardTopology, ShardedServer};
 use crate::sfl::worker::SflWorker;
 use mergesfl_data::{eval_subsample, partition_dirichlet, synth, Dataset, DatasetSpec, Partition};
@@ -29,12 +29,6 @@ use rayon::prelude::*;
 /// two-level derived stream — client under this tag, then round — disjoint from the dense
 /// loader families (`seed+100+i` / `seed+200+i`) and from every simnet/churn tag.
 const FLEET_LOADER_TAG: u64 = 0xF1EE_0000_0000_0000;
-
-/// Maximum in-flight iterations between the worker stage and the server stage of the
-/// pipelined round loop. One slot of slack is enough — a worker cannot start iteration
-/// `k+1` before its iteration-`k` gradient arrives — but a second slot keeps the handoff
-/// from serialising on the channel itself.
-const PIPELINE_DEPTH: usize = 2;
 
 /// Number of test samples evaluated per forward pass: evaluation batches are chunked so a
 /// large `eval_samples` never allocates one giant activation set. Shared with the FL
@@ -472,13 +466,14 @@ impl SflEngine {
         // trades raw step count for the unbiased direction merging provides (Fig. 4).
         self.server.set_lr(lr);
 
-        // --- Worker training, optionally fanned out across threads and/or staged through
-        // the round pipeline. The block scopes the mutable borrows of `self.workers` so
-        // the timing/eval sections below can use `&self` methods again. All execution
-        // modes are bit-identical: every worker owns its derived-seed RNG, uploads and
-        // gradient applications are always handled in cohort (plan) order, and the
-        // server-side reduction processes iterations strictly in order — parallelism and
-        // pipelining only change scheduling, never arithmetic order.
+        // --- Worker training, optionally fanned out across threads. The block scopes the
+        // mutable borrows of `self.workers` so the timing/eval sections below can use
+        // `&self` methods again. Parallel and sequential fan-out are bit-identical: every
+        // worker owns its derived-seed RNG, uploads and gradient applications are always
+        // handled in cohort (plan) order, and the server-side reduction processes
+        // iterations strictly in order — parallelism only changes scheduling, never
+        // arithmetic order. `RunConfig::pipeline` plays no part here: it selects the
+        // simulated clock's schedule, not how the round executes.
         let parallel = self.config.parallel;
         let merging = self.strategy.feature_merging;
         let total_batch = plan.total_batch();
@@ -511,29 +506,16 @@ impl SflEngine {
                 traffic.record(TrafficCategory::BottomModel, self.bottom_param_bytes);
             }
 
-            if self.config.pipeline {
-                loss_sum = run_iterations_pipelined(
-                    cohort.as_mut_slice(),
-                    train,
-                    server,
-                    traffic,
-                    feature_bytes,
-                    &plan,
-                    tau,
-                    &iteration,
-                );
-            } else {
-                loss_sum = run_iterations_barrier(
-                    cohort.as_mut_slice(),
-                    train,
-                    server,
-                    traffic,
-                    feature_bytes,
-                    &plan,
-                    tau,
-                    &iteration,
-                );
-            }
+            loss_sum = run_iterations(
+                cohort.as_mut_slice(),
+                train,
+                server,
+                traffic,
+                feature_bytes,
+                &plan,
+                tau,
+                &iteration,
+            );
 
             // Bottom-model aggregation (Eq. 17 with batch-size weights, Eq. 4 otherwise).
             let states: Vec<Vec<f32>> = cohort.iter().map(|w| w.bottom_state()).collect();
@@ -790,8 +772,7 @@ impl SflEngine {
     }
 }
 
-/// Per-iteration parameters shared by every execution mode. `Copy` values only, so the
-/// whole bundle can be captured by the pipeline's worker-stage thread.
+/// Per-iteration parameters shared by the forward and gradient-application fan-outs.
 #[derive(Clone, Copy)]
 struct IterationParams {
     lr: f32,
@@ -949,9 +930,9 @@ fn server_iteration(
     )
 }
 
-/// The barrier round loop (the oracle): every iteration fully serialises worker forward →
-/// server step → gradient application. Returns the summed iteration losses.
-fn run_iterations_barrier(
+/// The round loop: every iteration serialises worker forward → server step → gradient
+/// application. Returns the summed iteration losses.
+fn run_iterations(
     cohort: &mut [&mut SflWorker],
     train: &Dataset,
     server: &mut ShardedServer,
@@ -969,102 +950,6 @@ fn run_iterations_barrier(
         loss_sum += loss;
         apply_all(cohort, grads, &plan.batch_sizes, params);
     }
-    loss_sum
-}
-
-/// The pipelined round loop: the cohort's worker stage runs on its own thread, streaming
-/// each iteration's uploads through a bounded channel to the server stage on the calling
-/// thread and receiving the dispatched gradients through a second one. Under feature
-/// merging every shard ships gradients as soon as its backward pass finishes
-/// ([`ShardedServer::begin_step`]) and runs the optimizer update
-/// ([`ShardedServer::finish_step`]) while the workers are already applying gradients and
-/// computing iteration `k+1`'s forward pass — the overlap the round's pipelined makespan
-/// models. Arithmetic order is identical to the barrier loop (shards are visited in
-/// shard order either way), so trajectories are bit-identical; only scheduling differs.
-/// Returns the summed iteration losses.
-fn run_iterations_pipelined(
-    cohort: &mut [&mut SflWorker],
-    train: &Dataset,
-    server: &mut ShardedServer,
-    traffic: &mut TrafficMeter,
-    feature_bytes: f64,
-    plan: &RoundPlan,
-    tau: usize,
-    params: &IterationParams,
-) -> f32 {
-    let mut loss_sum = 0.0f32;
-    std::thread::scope(|scope| {
-        // The channels live *inside* the scope closure: if the server stage panics
-        // mid-round, unwinding drops `grad_tx`/`upload_rx` before `thread::scope` joins
-        // the worker stage, whose blocked `recv`/`send` then observes disconnection and
-        // returns — the panic propagates instead of deadlocking the join.
-        let (upload_tx, upload_rx) = rayon::channel::bounded::<Vec<FeatureUpload>>(PIPELINE_DEPTH);
-        let (grad_tx, grad_rx) = rayon::channel::bounded::<Vec<Option<Tensor>>>(PIPELINE_DEPTH);
-        let batch_sizes = &plan.batch_sizes;
-        let worker_stage = scope.spawn(move || {
-            for _k in 0..tau {
-                let uploads = forward_all(cohort, train, batch_sizes, params.parallel);
-                if upload_tx.send(uploads).is_err() {
-                    // Server stage gone (it panicked); unwind this stage too.
-                    return;
-                }
-                let Some(grads) = grad_rx.recv() else {
-                    return;
-                };
-                apply_all(cohort, grads, batch_sizes, params);
-            }
-        });
-
-        for _k in 0..tau {
-            let Some(uploads) = upload_rx.recv() else {
-                break; // Worker stage panicked; joining below propagates it.
-            };
-            record_feature_traffic(traffic, &uploads, feature_bytes);
-            if params.merging {
-                // Dispatch-critical pass of every shard first, so gradients ship as one
-                // plan-ordered batch the moment the last shard's backward finishes; the
-                // optimizer tails then overlap the workers' backward + next forward.
-                let mut gradients: Vec<(usize, Tensor)> = Vec::with_capacity(uploads.len());
-                let mut shard_losses: Vec<(f32, usize)> = Vec::with_capacity(plan.route_groups());
-                let mut active_shards = Vec::with_capacity(plan.route_groups());
-                for shard in 0..plan.route_groups() {
-                    let routed = routed_uploads(&uploads, plan, shard);
-                    if routed.is_empty() {
-                        continue;
-                    }
-                    let merged = merge_feature_refs(&routed);
-                    let samples = merged.total();
-                    let step = server.begin_step(shard, &merged);
-                    shard_losses.push((step.loss, samples));
-                    gradients.extend(step.gradients);
-                    active_shards.push(shard);
-                }
-                loss_sum += combine_shard_losses(&shard_losses);
-                let grads = align_gradients(&plan.selected, gradients);
-                if grad_tx.send(grads).is_err() {
-                    break;
-                }
-                // Overlapped with the workers' backward + next forward.
-                for shard in active_shards {
-                    server.finish_step(shard);
-                }
-            } else {
-                // Without merging each shard's top model steps once per routed worker,
-                // so every gradient depends on the full sequential sweep; dispatch after
-                // the sweep.
-                let (loss, grads) = server_iteration(server, &uploads, plan, false);
-                loss_sum += loss;
-                if grad_tx.send(grads).is_err() {
-                    break;
-                }
-            }
-        }
-        drop(grad_tx);
-
-        if let Err(panic) = worker_stage.join() {
-            std::panic::resume_unwind(panic);
-        }
-    });
     loss_sum
 }
 

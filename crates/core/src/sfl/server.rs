@@ -65,9 +65,9 @@ impl TopShard {
 
     /// The gradient-dispatch-critical part of one top-model update: merged-batch forward,
     /// loss, backward, and split-layer gradient dispatching. The returned gradients can
-    /// be shipped to the routed workers immediately; the pipelined engine overlaps the
-    /// remaining [`TopShard::finish_step`] with the workers' bottom-backward and next
-    /// forward.
+    /// be shipped to the routed workers immediately; the pipelined clock schedule models
+    /// the remaining [`TopShard::finish_step`] as overlapping the workers' bottom-backward
+    /// and next forward.
     pub fn begin_step(&mut self, merged: &MergedBatch) -> TopStep {
         self.top.zero_grad();
         let logits = self.top.forward(&merged.features, true);

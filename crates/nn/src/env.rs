@@ -15,7 +15,7 @@
 //!
 //! | Variable | Read by | Meaning |
 //! |---|---|---|
-//! | `MERGESFL_PIPELINE` | `mergesfl::config` | `on`/`1`/`true` enables the pipelined engine |
+//! | `MERGESFL_PIPELINE` | `mergesfl::config` | simulated-clock schedule: `on`/`1`/`true` charges the pipelined makespan, `off`/`0`/`false` (default; also when unset or empty) the barrier one; any other value panics. Execution and trajectories are the same either way |
 //! | `MERGESFL_KERNELS` | `mergesfl_nn::kernels` | `naive` selects the oracle backend (default: blocked) |
 //! | `MERGESFL_MICROKERNEL` | `mergesfl_nn::kernels::runtime` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available) |
 //! | `MERGESFL_TILING` | `mergesfl_nn::kernels::runtime` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,stages=1\|2,tile=MRxNR` (any subset; default: per-shape selection) |

@@ -1,12 +1,14 @@
-//! Bounded, order-preserving channels for staged pipelines.
+//! Bounded, order-preserving channels and a versioned publication slot.
 //!
-//! The training engines stage a round's work through producer/consumer threads
-//! (worker bottom-forward → server merge/top-step → gradient dispatch). Real rayon has no
-//! channel; crossbeam is unavailable offline; `std::sync::mpsc::sync_channel` exists but
-//! keeping the pipeline primitives in one shim crate keeps the engines' dependency story
-//! simple and the blocking semantics under our control. This is a minimal MPSC bounded
-//! FIFO built on `Mutex` + two `Condvar`s: `send` blocks while the queue is full (that
-//! bound is what keeps pipeline stages in lockstep instead of letting a fast producer
+//! Two users remain. The double-buffered GEMM (`gemm_packed_double` in
+//! `mergesfl_nn::kernels::gemm`) hands packing jobs and packed-stage indices between the
+//! compute thread and its persistent stage thread through [`bounded`] channels, and the
+//! sharded parameter server keeps each route group's last published top-model versions
+//! in a [`VersionedSlot`]. Real rayon has no channel; crossbeam is unavailable offline;
+//! `std::sync::mpsc::sync_channel` exists, but keeping the primitives in this shim keeps
+//! the blocking semantics under our control. The channel is a minimal MPSC bounded FIFO
+//! built on `Mutex` + two `Condvar`s: `send` blocks while the queue is full (that bound
+//! is what keeps producer and consumer in lockstep instead of letting a fast producer
 //! race ahead), `recv` blocks while it is empty, and items always come out in the order
 //! they were sent.
 
@@ -327,8 +329,8 @@ mod tests {
 
     #[test]
     fn sender_dropped_mid_round_leaves_the_channel_usable() {
-        // A pipeline stage dying mid-round (e.g. a panicking worker thread dropping its
-        // Sender during unwind) must neither lose the items it already sent nor wedge
+        // A producer dying mid-stream (e.g. a panicking thread dropping its Sender
+        // during unwind) must neither lose the items it already sent nor wedge
         // the surviving producers: the receiver keeps draining until the LAST sender is
         // gone, and only then observes disconnection.
         let (tx, rx) = bounded(2);

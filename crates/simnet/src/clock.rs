@@ -356,20 +356,13 @@ impl SimClock {
         Self::default()
     }
 
-    /// Creates a clock at time zero charging the chosen schedule: pipelined rounds advance
-    /// by the overlap-aware makespan, barrier rounds by the serialised one.
-    pub fn with_pipelining(pipelined: bool) -> Self {
-        Self {
-            pipelined,
-            ..Self::default()
-        }
-    }
-
-    /// Creates a clock at time zero charging the chosen schedule, including the
-    /// bounded-staleness async one: with `pipelined` set and `staleness > 0`, rounds
-    /// advance by [`RoundTiming::async_completion_time`]. A positive staleness without
+    /// Creates a clock at time zero charging the chosen schedule. Pipelined rounds advance
+    /// by the overlap-aware makespan, barrier rounds by the serialised one, and with
+    /// `pipelined` set and `staleness > 0` by [`RoundTiming::async_completion_time`]. The
+    /// schedule is a model of how the round's stages overlap; the engines execute every
+    /// round the same way whichever one is charged. A positive staleness without
     /// pipelining still charges the barrier makespan — the version ring relaxes *which
-    /// state* steps read, but only the pipelined loop exposes boundary work to hide.
+    /// state* steps read, but only the pipelined schedule overlaps boundary work.
     pub fn with_schedule(pipelined: bool, staleness: usize) -> Self {
         Self {
             pipelined,
@@ -787,8 +780,8 @@ mod tests {
     #[test]
     fn pipelined_clock_advances_by_the_overlap_aware_makespan() {
         let timing = RoundTiming::with_split_stages(vec![2.0, 4.0], 0.2, 4, 0.8, 0.3, 0.1);
-        let mut barrier = SimClock::with_pipelining(false);
-        let mut pipelined = SimClock::with_pipelining(true);
+        let mut barrier = SimClock::with_schedule(false, 0);
+        let mut pipelined = SimClock::with_schedule(true, 0);
         barrier.advance_round(&timing);
         pipelined.advance_round(&timing);
         assert!(pipelined.elapsed_seconds() < barrier.elapsed_seconds());

@@ -1,8 +1,8 @@
 //! Determinism regression tests: identical seeds give bit-identical run traces, and the
-//! threaded execution path produces exactly the same records as sequential execution —
-//! parallelism must never change results, only wall-clock time. The pipelined round loop
-//! carries the same contract for the *model trajectory*: only the simulated time series
-//! may differ (it charges the overlap-aware makespan instead of the barrier sum).
+//! threaded fan-out produces exactly the same records as sequential execution —
+//! parallelism must never change results, only wall-clock time. `RunConfig::pipeline`
+//! selects only the simulated clock's schedule: it may change the simulated time series
+//! (the overlap-aware makespan instead of the barrier sum), never the model trajectory.
 
 use mergesfl::config::{RunConfig, ShardTopology};
 use mergesfl::experiment::{run, Approach};
@@ -116,9 +116,10 @@ fn parallel_matches_sequential_at_scalability_config() {
 
 #[test]
 fn pipelined_matches_barrier_trajectory_bit_for_bit() {
-    // The tentpole contract: pipelining overlaps scheduling, never arithmetic. Every
-    // SFL-family flavour (merged and sequential top updates) and both FL baselines must
-    // produce identical model trajectories; only the simulated clock may advance less.
+    // The clock-schedule contract: `pipeline` picks which makespan advances the simulated
+    // clock and nothing else — the trajectory never reads the schedule. Every SFL-family
+    // flavour (merged and sequential top updates) and both FL baselines must produce
+    // identical model trajectories, and the pipelined clock must run ahead.
     for approach in [
         Approach::MergeSfl,
         Approach::LocFedMixSl,
@@ -134,63 +135,13 @@ fn pipelined_matches_barrier_trajectory_bit_for_bit() {
         assert_eq!(
             trajectory(&a),
             trajectory(&b),
-            "{approach:?} trajectory diverged between barrier and pipelined execution"
+            "{approach:?} trajectory diverged between the barrier and pipelined schedules"
         );
         assert!(
             b.total_sim_time() < a.total_sim_time(),
             "{approach:?}: pipelined sim time {} should beat barrier {}",
             b.total_sim_time(),
             a.total_sim_time()
-        );
-    }
-}
-
-#[test]
-fn pipelined_matches_barrier_at_scalability_config() {
-    // The fig12 scalability shape at 50 workers: staging many workers through the
-    // pipeline must not change a single trajectory entry.
-    let mut config = RunConfig::quick(DatasetKind::Har, 10.0, 131);
-    config.num_workers = 50;
-    config.rounds = 3;
-    config.local_iterations = Some(2);
-    config.participants_per_round = 10;
-    config.train_size = Some(1000);
-    config.eval_every = 3;
-    config.eval_samples = 100;
-
-    let mut barrier = config.clone();
-    barrier.pipeline = false;
-    let mut pipelined = config;
-    pipelined.pipeline = true;
-    for approach in [Approach::MergeSfl, Approach::FedAvg] {
-        let a = run(approach, &barrier);
-        let b = run(approach, &pipelined);
-        assert_eq!(
-            trajectory(&a),
-            trajectory(&b),
-            "{approach:?} diverged between barrier and pipelined execution at 50 workers"
-        );
-    }
-}
-
-#[test]
-fn pipeline_composes_with_parallel_and_sequential_fanout() {
-    // The pipeline stages the round; `parallel` fans the worker stage out. All four
-    // combinations must agree on the trajectory.
-    let reference = {
-        let mut c = tiny(33);
-        c.parallel = false;
-        c.pipeline = false;
-        trajectory(&run(Approach::MergeSfl, &c))
-    };
-    for (parallel, pipeline) in [(false, true), (true, false), (true, true)] {
-        let mut c = tiny(33);
-        c.parallel = parallel;
-        c.pipeline = pipeline;
-        let got = trajectory(&run(Approach::MergeSfl, &c));
-        assert_eq!(
-            got, reference,
-            "parallel={parallel} pipeline={pipeline} diverged from the sequential barrier oracle"
         );
     }
 }
@@ -217,28 +168,26 @@ fn pipelined_makespan_wins_on_the_straggler_heavy_config() {
 #[test]
 fn single_shard_is_bit_identical_to_the_reference_across_the_full_matrix() {
     // The sharding contract: with num_servers = 1 and sync_every = 1 the sharded server
-    // must BE the single-server engine, whatever the execution schedule. The reference is
-    // the sequential barrier oracle; every parallel × pipeline combination must agree on
-    // the full trajectory, and an inert sync period must not perturb a single bit.
+    // must BE the single-server engine, whatever the fan-out. The reference is the
+    // sequential run; parallel and sequential fan-out must agree on the full trajectory,
+    // and an inert sync period must not perturb a single bit.
     let reference = {
         let mut c = tiny(41);
         c.num_servers = 1;
         c.sync_every = 1;
         c.parallel = false;
-        c.pipeline = false;
         trajectory(&run(Approach::MergeSfl, &c))
     };
-    for (parallel, pipeline) in [(false, false), (false, true), (true, false), (true, true)] {
+    for parallel in [false, true] {
         for sync_every in [1, 3] {
             let mut c = tiny(41);
             c.num_servers = 1;
             c.sync_every = sync_every;
             c.parallel = parallel;
-            c.pipeline = pipeline;
             let got = trajectory(&run(Approach::MergeSfl, &c));
             assert_eq!(
                 got, reference,
-                "num_servers=1 sync_every={sync_every} parallel={parallel} pipeline={pipeline} \
+                "num_servers=1 sync_every={sync_every} parallel={parallel} \
                  diverged from the single-server oracle"
             );
         }
@@ -248,30 +197,21 @@ fn single_shard_is_bit_identical_to_the_reference_across_the_full_matrix() {
 #[test]
 fn sharded_trajectories_are_schedule_independent() {
     // Multi-shard runs change the trajectory (each shard steps on its routed sub-batch),
-    // but they must carry the same contract as the single server: parallel fan-out and
-    // pipelined staging never change arithmetic, only scheduling. Both merged (MergeSFL)
-    // and sequential (LocFedMix-SL) top-update paths are pinned.
+    // but they must carry the same contract as the single server: parallel fan-out never
+    // changes arithmetic, only scheduling. Both merged (MergeSFL) and sequential
+    // (LocFedMix-SL) top-update paths are pinned.
     for approach in [Approach::MergeSfl, Approach::LocFedMixSl] {
-        let reference = {
-            let mut c = tiny(42);
-            c.num_servers = 4;
-            c.sync_every = 2;
-            c.parallel = false;
-            c.pipeline = false;
-            trajectory(&run(approach, &c))
-        };
-        for (parallel, pipeline) in [(false, true), (true, false), (true, true)] {
+        let [sequential, parallel] = [false, true].map(|parallel| {
             let mut c = tiny(42);
             c.num_servers = 4;
             c.sync_every = 2;
             c.parallel = parallel;
-            c.pipeline = pipeline;
-            let got = trajectory(&run(approach, &c));
-            assert_eq!(
-                got, reference,
-                "{approach:?} 4-shard parallel={parallel} pipeline={pipeline} diverged"
-            );
-        }
+            trajectory(&run(approach, &c))
+        });
+        assert_eq!(
+            parallel, sequential,
+            "{approach:?} 4-shard parallel run diverged from the sequential one"
+        );
     }
 }
 
@@ -361,8 +301,8 @@ fn output_partitioned_shards_are_bit_identical_to_the_single_server() {
     // The exactness contract of the output-partitioned topology: S classifier slices
     // exchanging partial activations compute the *same* global step as one server —
     // partial-logit all-gather, gradient-slice scatter, canonical-order trunk all-reduce
-    // and the shared clip scale reproduce the unsharded arithmetic bit for bit, across
-    // the full parallel × pipeline matrix and for both merged (MergeSFL) and sequential
+    // and the shared clip scale reproduce the unsharded arithmetic bit for bit, under
+    // parallel and sequential fan-out and for both merged (MergeSFL) and sequential
     // (LocFedMix-SL) top updates.
     for approach in [Approach::MergeSfl, Approach::LocFedMixSl] {
         let reference = {
@@ -370,23 +310,20 @@ fn output_partitioned_shards_are_bit_identical_to_the_single_server() {
             c.num_servers = 1;
             c.topology = ShardTopology::Replicated;
             c.parallel = false;
-            c.pipeline = false;
             model_trajectory(&run(approach, &c))
         };
         for shards in [2usize, 4] {
-            for (parallel, pipeline) in [(false, false), (false, true), (true, false), (true, true)]
-            {
+            for parallel in [false, true] {
                 let mut c = tiny(51);
                 c.num_servers = shards;
                 c.topology = ShardTopology::OutputPartitioned;
                 c.parallel = parallel;
-                c.pipeline = pipeline;
                 let got = run(approach, &c);
                 assert_eq!(
                     model_trajectory(&got),
                     reference,
                     "{approach:?} partitioned shards={shards} parallel={parallel} \
-                     pipeline={pipeline} diverged from the single-server oracle"
+                     diverged from the single-server oracle"
                 );
                 // The topology and its per-round exchange are recorded.
                 for r in &got.records {
@@ -466,43 +403,34 @@ fn four_partitioned_shards_divide_the_server_critical_term() {
 #[test]
 fn zero_staleness_is_bit_identical_to_the_barrier_oracle_across_the_matrix() {
     // The k = 0 contract of the bounded-staleness mode: with the window at zero no
-    // snapshot is ever taken, so every cell of the parallel × pipeline × shards ×
-    // topology matrix must reproduce its barrier oracle bit for bit — exactly the
-    // guarantee the pre-staleness engine gave. Staleness is pinned explicitly on both
-    // sides because the CI matrix may set MERGESFL_STALENESS for the whole suite.
+    // snapshot is ever taken, so in every cell of the shards × topology matrix the
+    // parallel run must reproduce the sequential one bit for bit — exactly the guarantee
+    // the pre-staleness engine gave. Staleness is pinned explicitly on both sides because
+    // the CI matrix may set MERGESFL_STALENESS for the whole suite.
     for (servers, topology) in [
         (1, ShardTopology::Replicated),
         (4, ShardTopology::Replicated),
         (1, ShardTopology::OutputPartitioned),
         (4, ShardTopology::OutputPartitioned),
     ] {
-        let reference = {
-            let mut c = tiny(61);
-            c.num_servers = servers;
-            c.sync_every = 2;
-            c.topology = topology;
-            c.parallel = false;
-            c.pipeline = false;
-            c.staleness = 0;
-            trajectory(&run(Approach::MergeSfl, &c))
-        };
-        for (parallel, pipeline) in [(false, true), (true, false), (true, true)] {
+        let [sequential, parallel] = [false, true].map(|parallel| {
             let mut c = tiny(61);
             c.num_servers = servers;
             c.sync_every = 2;
             c.topology = topology;
             c.parallel = parallel;
-            c.pipeline = pipeline;
             c.staleness = 0;
-            let got = run(Approach::MergeSfl, &c);
-            assert_eq!(
-                trajectory(&got),
-                reference,
-                "staleness=0 servers={servers} topology={} parallel={parallel} \
-                 pipeline={pipeline} diverged from the barrier oracle",
-                topology.name()
-            );
-            // Synchronous rounds record no version-lag histogram.
+            run(Approach::MergeSfl, &c)
+        });
+        assert_eq!(
+            trajectory(&parallel),
+            trajectory(&sequential),
+            "staleness=0 servers={servers} topology={}: the parallel run diverged from \
+             the sequential one",
+            topology.name()
+        );
+        // Synchronous rounds record no version-lag histogram.
+        for got in [&sequential, &parallel] {
             assert!(got
                 .records
                 .iter()
@@ -514,34 +442,23 @@ fn zero_staleness_is_bit_identical_to_the_barrier_oracle_across_the_matrix() {
 #[test]
 fn stale_trajectories_are_schedule_independent() {
     // k > 0 deliberately changes the trajectory (gradients come from older versions),
-    // but the per-group sequence of begin/finish steps is identical across schedules:
-    // parallel fan-out and pipelined staging must not change a single bit even under a
-    // positive window, for both merged and sequential top-update paths.
+    // but the per-group sequence of begin/finish steps is identical under either fan-out:
+    // parallel execution must not change a single bit even under a positive window, for
+    // both merged and sequential top-update paths.
     for approach in [Approach::MergeSfl, Approach::LocFedMixSl] {
         for (servers, sync_every) in [(1usize, 1usize), (4, 2)] {
-            let reference = {
-                let mut c = tiny(62);
-                c.num_servers = servers;
-                c.sync_every = sync_every;
-                c.staleness = 2;
-                c.parallel = false;
-                c.pipeline = false;
-                trajectory(&run(approach, &c))
-            };
-            for (parallel, pipeline) in [(false, true), (true, false), (true, true)] {
+            let [sequential, parallel] = [false, true].map(|parallel| {
                 let mut c = tiny(62);
                 c.num_servers = servers;
                 c.sync_every = sync_every;
                 c.staleness = 2;
                 c.parallel = parallel;
-                c.pipeline = pipeline;
-                let got = trajectory(&run(approach, &c));
-                assert_eq!(
-                    got, reference,
-                    "{approach:?} staleness=2 servers={servers} parallel={parallel} \
-                     pipeline={pipeline} diverged"
-                );
-            }
+                trajectory(&run(approach, &c))
+            });
+            assert_eq!(
+                parallel, sequential,
+                "{approach:?} staleness=2 servers={servers}: the parallel run diverged"
+            );
         }
     }
 }
@@ -549,9 +466,9 @@ fn stale_trajectories_are_schedule_independent() {
 #[test]
 fn tensor_pool_is_bit_identical_across_the_execution_matrix() {
     // The pooling contract: checking buffers out of the size-classed arena changes where
-    // bytes live, never their values. Every cell of the parallel × pipeline matrix — plus
-    // replicated and output-partitioned shard layouts, which recycle merge staging and
-    // ring snapshots through the pool — must produce the same trace with the pool off and
+    // bytes live, never their values. Parallel and sequential fan-out — under replicated
+    // and output-partitioned shard layouts, which recycle merge staging and ring
+    // snapshots through the pool — must each produce the same trace with the pool off and
     // on. Both runs happen inside one test because `run` flips the
     // process-wide pool switch. (`RunResult` equality already ignores the `pool_*`
     // gauges, which legitimately differ between a cold heap and a warm arena.)
@@ -560,13 +477,12 @@ fn tensor_pool_is_bit_identical_across_the_execution_matrix() {
         (2, ShardTopology::Replicated),
         (2, ShardTopology::OutputPartitioned),
     ] {
-        for (parallel, pipeline) in [(false, false), (false, true), (true, false), (true, true)] {
+        for parallel in [false, true] {
             let mut unpooled = tiny(71);
             unpooled.num_servers = servers;
             unpooled.sync_every = 2;
             unpooled.topology = topology;
             unpooled.parallel = parallel;
-            unpooled.pipeline = pipeline;
             unpooled.tensor_pool = false;
             let mut pooled = unpooled.clone();
             pooled.tensor_pool = true;
@@ -575,7 +491,7 @@ fn tensor_pool_is_bit_identical_across_the_execution_matrix() {
             assert_eq!(
                 a,
                 b,
-                "servers={servers} topology={} parallel={parallel} pipeline={pipeline}: \
+                "servers={servers} topology={} parallel={parallel}: \
                  pooled run diverged from the unpooled oracle",
                 topology.name()
             );
@@ -588,17 +504,16 @@ fn trivial_fleet_is_bit_identical_to_the_classic_path_across_the_matrix() {
     // The fleet axis's compatibility contract: registering exactly one client per data
     // shard (`fleet == Some(num_workers)`) with churn off must BE the classic dense
     // loop — same cluster, same plans, same loader streams, same records, bit for bit —
-    // in every parallel × pipeline × topology cell. Both sides pin the fleet knobs
+    // in every parallel × topology cell. Both sides pin the fleet knobs
     // explicitly because the CI matrix may export MERGESFL_FLEET for the whole suite.
     for topology in [ShardTopology::Replicated, ShardTopology::OutputPartitioned] {
-        for (parallel, pipeline) in [(false, false), (false, true), (true, false), (true, true)] {
+        for parallel in [false, true] {
             let mut without_fleet = tiny(81);
             without_fleet.num_servers = 2;
             without_fleet.topology = topology;
             without_fleet.fleet = None;
             without_fleet.churn = false;
             without_fleet.parallel = parallel;
-            without_fleet.pipeline = pipeline;
             let mut with_fleet = without_fleet.clone();
             with_fleet.fleet = Some(with_fleet.num_workers);
             let a = run(Approach::MergeSfl, &without_fleet);
@@ -606,7 +521,7 @@ fn trivial_fleet_is_bit_identical_to_the_classic_path_across_the_matrix() {
             assert_eq!(
                 b,
                 a,
-                "fleet=Some(W) churn=off topology={} parallel={parallel} pipeline={pipeline} \
+                "fleet=Some(W) churn=off topology={} parallel={parallel} \
                  diverged from the fleet-less oracle",
                 topology.name()
             );
