@@ -9,7 +9,7 @@
 //!
 //! * `--json` — additionally write the results to `BENCH_kernels.json` in the current
 //!   directory (schema documented in README.md, "Compute kernels and the perf gate").
-//! * `--check` — exit non-zero if any of the gates fail. Five gates run:
+//! * `--check` — exit non-zero if any of the gates fail. Four gates run:
 //!   1. the blocked backend must not be slower than `--min-speedup` (default 1.0) times
 //!      the naive oracle on the gate shape, the largest GEMM;
 //!   2. the blocked backend must not be slower than the naive oracle on any convolution
@@ -18,20 +18,10 @@
 //!      the committed `BENCH_kernels.json` baseline — a noise-tolerant regression floor
 //!      rather than an exact match; a missing or unparsable baseline fails the gate;
 //!   4. with the tensor pool enabled, every blocked GEMM/conv case and every max-pool /
-//!      ReLU case must run with zero steady-state heap allocations per iteration —
-//!      including the double-buffered driver on the gate shape
-//!      (`MERGESFL_COUNT_ALLOCS=off` skips the measurement and the gate);
-//!   5. on multi-core hosts, the double-buffered GEMM must not lose to the
-//!      single-stage packed driver on the gate shape (within 5% noise tolerance).
-//!      On single-core hosts pack and compute cannot overlap, so the gate reports
-//!      both timings and skips with a message.
+//!      ReLU case must run with zero steady-state heap allocations per iteration
+//!      (`MERGESFL_COUNT_ALLOCS=off` skips the measurement and the gate).
 //!
-//! `--check` with all five gates is what CI's `perf-smoke` job runs.
-//!
-//! For every packed GEMM case the table also reports the explicit single-stage and
-//! double-buffered timings next to the runtime's auto-planned path, plus the stage
-//! idle fraction — the share of double-buffered wall time the compute side spent
-//! waiting for the packer thread, the direct observable of pack-vs-compute overlap.
+//! `--check` with all four gates is what CI's `perf-smoke` job runs.
 //!
 //! Every measurement reports the best wall-clock time over several repetitions, which is
 //! robust against scheduler noise on shared CI runners. Allocation counts are measured
@@ -43,8 +33,7 @@ use mergesfl::json::{self, write_f64, JsonValue};
 use mergesfl_nn::kernels::conv::{conv_backward, conv_backward_params, conv_forward, ConvGeom};
 use mergesfl_nn::kernels::pool::{maxpool_backward, maxpool_forward, maxpool_forward_values};
 use mergesfl_nn::kernels::{
-    gemm_cfg, gemm_with_scheme, relu_backward, relu_in_place, reset_stage_stats, runtime,
-    stage_stats, Epilogue, GemmPlan, KernelBackend, Staging, TilingScheme, Trans,
+    gemm_cfg, relu_backward, relu_in_place, Epilogue, KernelBackend, Trans,
 };
 use mergesfl_nn::rng::seeded;
 use rand::Rng;
@@ -433,16 +422,6 @@ struct Measurement {
     /// Steady-state heap allocations per blocked-path iteration (warmed pool, one
     /// thread); `None` when counting is disabled via `MERGESFL_COUNT_ALLOCS=off`.
     allocs_per_iter: Option<f64>,
-    /// Explicit single-stage packed timing with the auto plan's tile and partition;
-    /// `None` for cases the runtime plans as naive or direct (and for convs, which
-    /// pack their own panels and never stage). Absent from the JSON output — the
-    /// committed baseline schema (v2) stays stable.
-    single_ns: Option<f64>,
-    /// Explicit double-buffered timing with the same tile and partition.
-    double_ns: Option<f64>,
-    /// Share (%) of the double-buffered wall time the compute side spent blocked
-    /// waiting for the packer thread — the pack-vs-compute overlap observable.
-    stage_idle_pct: Option<f64>,
 }
 
 impl Measurement {
@@ -560,91 +539,6 @@ fn measure(entry: &Entry) -> Measurement {
                 },
                 reps,
             );
-            // Explicit staging comparison: when the runtime plans this shape as a
-            // packed GEMM, re-run it with the plan's tile and partition but the
-            // staging forced to single-stage and then double-buffered, so the table
-            // (and the staging gate) can compare the two drivers head-to-head.
-            let (single_ns, double_ns, stage_idle_pct) = match runtime().select(*trans, m, n, k) {
-                GemmPlan::Tiled(scheme, micro) if scheme.stage != Staging::Direct => {
-                    let single_scheme = TilingScheme {
-                        stage: Staging::Single,
-                        ..scheme
-                    };
-                    let double_scheme = TilingScheme {
-                        stage: Staging::Double,
-                        ..scheme
-                    };
-                    let single = best_ns(
-                        || {
-                            c.fill(0.0);
-                            gemm_with_scheme(
-                                *trans,
-                                m,
-                                n,
-                                k,
-                                &a,
-                                &b,
-                                &mut c,
-                                epilogue(),
-                                &single_scheme,
-                                micro,
-                            );
-                            std::hint::black_box(&c);
-                        },
-                        reps,
-                    )
-                    .0;
-                    // Warm up the double driver outside the measured window: the
-                    // first call spawns the persistent packer thread.
-                    c.fill(0.0);
-                    gemm_with_scheme(
-                        *trans,
-                        m,
-                        n,
-                        k,
-                        &a,
-                        &b,
-                        &mut c,
-                        epilogue(),
-                        &double_scheme,
-                        micro,
-                    );
-                    // Stage idle is measured against the same wall-clock window the
-                    // stage-wait counters accumulate over, so the percentage is the
-                    // share of double-buffered runtime the compute side spent
-                    // blocked on the packer — the pack/compute overlap observable.
-                    reset_stage_stats();
-                    let wall_start = Instant::now();
-                    let mut best = f64::INFINITY;
-                    for _ in 0..reps {
-                        let start = Instant::now();
-                        c.fill(0.0);
-                        gemm_with_scheme(
-                            *trans,
-                            m,
-                            n,
-                            k,
-                            &a,
-                            &b,
-                            &mut c,
-                            epilogue(),
-                            &double_scheme,
-                            micro,
-                        );
-                        std::hint::black_box(&c);
-                        best = best.min(start.elapsed().as_nanos() as f64);
-                    }
-                    let wall_ns = wall_start.elapsed().as_nanos() as f64;
-                    let stats = stage_stats();
-                    let idle = if wall_ns > 0.0 {
-                        100.0 * stats.compute_wait_ns as f64 / wall_ns
-                    } else {
-                        0.0
-                    };
-                    (Some(single), Some(best), Some(idle))
-                }
-                _ => (None, None, None),
-            };
             Measurement {
                 name: entry.name,
                 kind: "gemm",
@@ -653,9 +547,6 @@ fn measure(entry: &Entry) -> Measurement {
                 blocked_ns,
                 blocked_jitter_ns,
                 allocs_per_iter: None,
-                single_ns,
-                double_ns,
-                stage_idle_pct,
             }
         }
         Case::ConvForward(geom) => {
@@ -682,9 +573,6 @@ fn measure(entry: &Entry) -> Measurement {
                 blocked_ns,
                 blocked_jitter_ns,
                 allocs_per_iter: None,
-                single_ns: None,
-                double_ns: None,
-                stage_idle_pct: None,
             }
         }
         Case::ConvBackward(geom) | Case::ConvBackwardParams(geom) => {
@@ -710,9 +598,6 @@ fn measure(entry: &Entry) -> Measurement {
                 blocked_ns,
                 blocked_jitter_ns,
                 allocs_per_iter: None,
-                single_ns: None,
-                double_ns: None,
-                stage_idle_pct: None,
             }
         }
         Case::Layer(op, shape) => {
@@ -728,9 +613,6 @@ fn measure(entry: &Entry) -> Measurement {
                 blocked_ns: ns,
                 blocked_jitter_ns: jitter_ns,
                 allocs_per_iter: None,
-                single_ns: None,
-                double_ns: None,
-                stage_idle_pct: None,
             }
         }
     }
@@ -995,36 +877,17 @@ fn main() {
 
     let threads = rayon::current_num_threads();
     println!("kernel_bench: naive oracle vs blocked kernels ({threads} thread(s))\n");
+    // Times print in microseconds: the short conv stages run in a few of them.
     println!(
-        "  {:<32} {:>20} {:>12} {:>12} {:>9} {:>12} {:>9} {:>10} {:>10} {:>7}",
-        "shape",
-        "kind",
-        "naive",
-        "blocked",
-        "jitter",
-        "GFLOP/s",
-        "speedup",
-        "1-stage",
-        "2-stage",
-        "idle"
+        "  {:<32} {:>20} {:>12} {:>12} {:>9} {:>12} {:>9}",
+        "shape", "kind", "naive", "blocked", "jitter", "GFLOP/s", "speedup"
     );
-
-    // Staging columns only apply to packed GEMM cases; everything else shows "-". Times
-    // print in microseconds: the short conv stages run in a few of them.
-    let fmt_us = |v: Option<f64>| match v {
-        Some(ns) => format!("{:.1}us", ns / 1e3),
-        None => "-".to_string(),
-    };
-    let fmt_pct = |v: Option<f64>| match v {
-        Some(p) => format!("{p:.1}%"),
-        None => "-".to_string(),
-    };
 
     let mut results = Vec::new();
     for entry in zoo() {
         let r = measure(&entry);
         println!(
-            "  {:<32} {:>20} {:>10.1}us {:>10.1}us {:>7.1}us {:>12.2} {:>8.2}x {:>10} {:>10} {:>7}",
+            "  {:<32} {:>20} {:>10.1}us {:>10.1}us {:>7.1}us {:>12.2} {:>8.2}x",
             r.name,
             r.kind,
             r.naive_ns / 1e3,
@@ -1032,16 +895,12 @@ fn main() {
             r.blocked_jitter_ns / 1e3,
             r.gflops(r.blocked_ns),
             r.speedup(),
-            fmt_us(r.single_ns),
-            fmt_us(r.double_ns),
-            fmt_pct(r.stage_idle_pct),
         );
         results.push(r);
     }
 
     // Allocation phase, after all timing: pin the fan-out to one thread so scoped
     // thread spawns on multi-core runners stay out of the steady-state count.
-    let mut double_gate_allocs: Option<f64> = None;
     if mergesfl_nn::pool::count_allocs() {
         rayon::set_num_threads(1);
         println!();
@@ -1049,42 +908,6 @@ fn main() {
             let allocs = measure_allocs(entry);
             println!("  {:<32} allocs/iter (steady state): {allocs:.3}", r.name);
             r.allocs_per_iter = Some(allocs);
-        }
-        // The double-buffered driver on the gate shape: the packer thread and its
-        // channels are spawned on the first (warm-up) call, so steady state must be
-        // allocation-free too.
-        if let GemmPlan::Tiled(scheme, micro) = runtime().select(Trans::Nn, 256, 256, 256) {
-            if scheme.stage != Staging::Direct {
-                let double_scheme = TilingScheme {
-                    stage: Staging::Double,
-                    ..scheme
-                };
-                let mut rng = seeded(42);
-                let a = random_vec(&mut rng, 256 * 256);
-                let b = random_vec(&mut rng, 256 * 256);
-                let mut c = vec![0.0f32; 256 * 256];
-                let allocs = steady_state_allocs(|| {
-                    c.fill(0.0);
-                    gemm_with_scheme(
-                        Trans::Nn,
-                        256,
-                        256,
-                        256,
-                        &a,
-                        &b,
-                        &mut c,
-                        Epilogue::None,
-                        &double_scheme,
-                        micro,
-                    );
-                    std::hint::black_box(&c);
-                });
-                println!(
-                    "  {:<32} allocs/iter (steady state): {allocs:.3}",
-                    "gemm_nn_256x256x256 (2-stage)"
-                );
-                double_gate_allocs = Some(allocs);
-            }
         }
         rayon::set_num_threads(0);
     }
@@ -1159,14 +982,11 @@ fn main() {
         // Allocation gate: every blocked GEMM/conv case and every pool/ReLU case must be
         // allocation-free in steady state when the pool serves checkouts.
         if mergesfl_nn::pool::count_allocs() && mergesfl_nn::pool::enabled() {
-            let mut leaky: Vec<String> = results
+            let leaky: Vec<&str> = results
                 .iter()
                 .filter(|r| r.allocs_per_iter.is_some_and(|a| a > 0.0))
-                .map(|r| r.name.to_string())
+                .map(|r| r.name)
                 .collect();
-            if double_gate_allocs.is_some_and(|a| a > 0.0) {
-                leaky.push(format!("{GATE} (2-stage)"));
-            }
             if leaky.is_empty() {
                 println!("alloc gate passed: 0 steady-state allocs/iter on all cases");
             } else {
@@ -1179,39 +999,6 @@ fn main() {
             }
         } else {
             println!("alloc gate skipped: counting or the tensor pool is disabled");
-        }
-
-        // Staging gate: double-buffering must pull its weight where it can — on a
-        // multi-core host the overlapped driver must not lose to the single-stage
-        // packed driver on the gate shape (5% noise tolerance). On one core pack
-        // and compute serialise onto the same CPU, so the gate reports and skips.
-        match (gate.single_ns, gate.double_ns) {
-            (Some(single), Some(double)) if threads > 1 => {
-                if double > single * 1.05 {
-                    eprintln!(
-                        "STAGING GATE FAILED: double-buffered GEMM {:.2}ms is slower than 1.05 x the single-stage driver {:.2}ms on {GATE}",
-                        double / 1e6,
-                        single / 1e6
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "staging gate passed: double-buffered {:.2}ms <= 1.05 x single-stage {:.2}ms on {GATE}",
-                        double / 1e6,
-                        single / 1e6
-                    );
-                }
-            }
-            (Some(single), Some(double)) => {
-                println!(
-                    "staging gate skipped: single-core host, pack and compute cannot overlap (double {:.2}ms vs single {:.2}ms on {GATE})",
-                    double / 1e6,
-                    single / 1e6
-                );
-            }
-            _ => {
-                println!("staging gate skipped: {GATE} was not planned as a packed GEMM");
-            }
         }
 
         if failed {

@@ -5,6 +5,7 @@ use mergesfl_data::DatasetKind;
 /// The blessed environment-read helper: every `MERGESFL_*` knob is documented in
 /// its module docs, and the root `clippy.toml` confines raw `std::env::var` there.
 pub use mergesfl_nn::env;
+use mergesfl_nn::kernels::{parse_micro_kernel_setting, parse_tiling_setting};
 pub use mergesfl_nn::kernels::{KernelBackend, MicroKernelId, TilingOverride};
 use serde::{Deserialize, Serialize};
 
@@ -59,16 +60,16 @@ pub struct RunConfig {
     /// constructors honour the `MERGESFL_KERNELS` environment variable.
     pub kernel_backend: KernelBackend,
     /// GEMM micro-kernel override: force one of the runtime's kernels (`portable`, `avx`,
-    /// `avx512`) instead of auto-selecting the widest the host supports. Kernels the host
-    /// cannot run fall back to portable. Pure performance control — every kernel is
-    /// bit-identical. Applied process-wide by `experiment::run`; constructors honour the
+    /// `avx512`, `avx512w`) instead of auto-selecting the widest the host supports.
+    /// Kernels the host cannot run fall back to portable. Pure performance control — every
+    /// kernel is bit-identical. Applied process-wide by `experiment::run`; constructors honour the
     /// `MERGESFL_MICROKERNEL` environment variable.
     pub micro_kernel: Option<MicroKernelId>,
     /// Tiling-scheme override applied on top of the runtime's per-shape selection for
-    /// packed GEMMs: cache partition (`mc`/`kc`/`nc`), staging (`stages=1|2`) and register
-    /// tile. Pure performance control — every scheme is bit-identical. Applied
-    /// process-wide by `experiment::run`; constructors honour the `MERGESFL_TILING`
-    /// environment variable (`mc=..,kc=..,nc=..,stages=..,tile=MRxNR`).
+    /// packed GEMMs: cache partition (`mc`/`kc`/`nc`) and register tile. Pure performance
+    /// control — every scheme is bit-identical. Applied process-wide by
+    /// `experiment::run`; constructors honour the `MERGESFL_TILING` environment variable
+    /// (`mc=..,kc=..,nc=..,tile=MRxNR`).
     pub tiling: TilingOverride,
     /// Whether tensor storage and kernel scratch check pages out of the size-classed
     /// memory pool (`mergesfl_nn::pool`) instead of allocating. Pooling changes where
@@ -223,19 +224,16 @@ pub fn churn_dropout_from_env() -> f64 {
 }
 
 /// Reads the GEMM micro-kernel override from the `MERGESFL_MICROKERNEL` environment
-/// variable (`portable` / `avx` / `avx512`); unset, empty or unknown values keep
-/// auto-selection.
+/// variable; see `mergesfl_nn::kernels::parse_micro_kernel_setting` (a mistyped kernel
+/// name panics).
 pub fn micro_kernel_from_env() -> Option<MicroKernelId> {
-    mergesfl_nn::env::var("MERGESFL_MICROKERNEL").and_then(|v| MicroKernelId::from_name(v.trim()))
+    parse_micro_kernel_setting(mergesfl_nn::env::var("MERGESFL_MICROKERNEL").as_deref())
 }
 
-/// Reads the tiling-scheme override from the `MERGESFL_TILING` environment variable;
-/// unset or malformed specs keep per-shape auto-selection (malformed specs are also
-/// reported by the kernel runtime itself).
+/// Reads the tiling-scheme override from the `MERGESFL_TILING` environment variable; see
+/// `mergesfl_nn::kernels::parse_tiling_setting` (a malformed spec panics).
 pub fn tiling_from_env() -> TilingOverride {
-    mergesfl_nn::env::var("MERGESFL_TILING")
-        .and_then(|v| TilingOverride::parse(&v).ok())
-        .unwrap_or_default()
+    parse_tiling_setting(mergesfl_nn::env::var("MERGESFL_TILING").as_deref())
 }
 
 /// Reads the server topology from the `MERGESFL_TOPOLOGY` environment variable; see

@@ -19,7 +19,7 @@
 use crate::sfl::merge::{dispatch_gradients, merge_feature_refs, FeatureUpload, MergedBatch};
 use mergesfl_nn::model::weighted_average_states;
 use mergesfl_nn::{Sequential, Sgd, SoftmaxCrossEntropy, Tensor};
-use rayon::channel::VersionedSlot;
+use std::collections::VecDeque;
 
 /// Gradient-clipping norm used by both sides of split training (and the FL baselines).
 /// Large enough to be inactive in steady state; small enough that a single bad merged
@@ -536,6 +536,72 @@ impl ShardedServer {
     }
 }
 
+/// A bounded ring of versioned states: one route group's recent top-model versions.
+///
+/// A producer publishes successive versions of some state (here the top model's
+/// parameters before each optimizer step) and the slot retains up to `capacity` of the
+/// most recent ones, each tagged with a monotonically increasing version number. A
+/// consumer that reads [`VersionedSlot::oldest`] therefore operates on state at most
+/// `capacity` versions behind the newest publish — the bounded-staleness invariant the
+/// convergence harness asserts.
+#[derive(Clone, Debug)]
+struct VersionedSlot<T> {
+    ring: VecDeque<(u64, T)>,
+    capacity: usize,
+    next_version: u64,
+}
+
+impl<T> VersionedSlot<T> {
+    /// Creates an empty slot retaining at most `capacity` published versions.
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "VersionedSlot: capacity must be positive");
+        Self {
+            ring: VecDeque::with_capacity(capacity),
+            capacity,
+            next_version: 0,
+        }
+    }
+
+    /// Publishes a new version of the state and returns the version number assigned to
+    /// it, with the oldest retained state if the ring was full — handed back rather than
+    /// dropped, so pooled buffers can be recycled.
+    fn publish_evicting(&mut self, state: T) -> (u64, Option<T>) {
+        let version = self.next_version;
+        self.next_version += 1;
+        let evicted = if self.ring.len() == self.capacity {
+            self.ring.pop_front().map(|(_, s)| s)
+        } else {
+            None
+        };
+        self.ring.push_back((version, state));
+        (version, evicted)
+    }
+
+    /// Removes and returns every retained `(version, state)` pair, oldest first; version
+    /// numbering keeps increasing. The server drains the rings when cross-shard
+    /// synchronisation averages replica state: the retained versions no longer describe
+    /// any live parameter vector.
+    fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, (u64, T)> {
+        self.ring.drain(..)
+    }
+
+    /// The oldest retained `(version, state)`, i.e. the most stale view a consumer can
+    /// observe, or `None` before the first publish and after a drain.
+    fn oldest(&self) -> Option<&(u64, T)> {
+        self.ring.front()
+    }
+
+    /// Version lag of the oldest retained state behind the next version to be published:
+    /// how many optimizer steps stale a consumer reading [`Self::oldest`] is. Zero when
+    /// empty. Never exceeds `capacity` — the bounded-staleness invariant.
+    fn lag(&self) -> usize {
+        self.ring
+            .front()
+            .map(|(v, _)| (self.next_version - v) as usize)
+            .unwrap_or(0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -884,5 +950,55 @@ mod tests {
         reference.shards[0].load_state(&averaged);
         let (ref_loss, _) = reference.evaluate(&mut bottom, &inputs, &labels);
         assert_eq!(loss, ref_loss);
+    }
+
+    #[test]
+    fn versioned_slot_retains_at_most_capacity_versions() {
+        let mut slot = VersionedSlot::new(3);
+        assert_eq!(slot.oldest(), None);
+        let published: Vec<(u64, Option<i32>)> =
+            (0..5).map(|state| slot.publish_evicting(state)).collect();
+        // Versions 0 and 1 were evicted, and handed back; 2, 3, 4 remain.
+        assert_eq!(
+            published,
+            [(0, None), (1, None), (2, None), (3, Some(0)), (4, Some(1))]
+        );
+        assert_eq!(slot.oldest(), Some(&(2, 2)));
+        let retained: Vec<(u64, i32)> = slot.drain().collect();
+        assert_eq!(retained, [(2, 2), (3, 3), (4, 4)]);
+    }
+
+    #[test]
+    fn versioned_slot_lag_is_bounded_by_capacity() {
+        let mut slot = VersionedSlot::new(2);
+        assert_eq!(slot.lag(), 0);
+        slot.publish_evicting("a");
+        assert_eq!(slot.lag(), 1);
+        slot.publish_evicting("b");
+        assert_eq!(slot.lag(), 2);
+        for s in ["c", "d", "e", "f"] {
+            slot.publish_evicting(s);
+            assert_eq!(slot.lag(), 2);
+        }
+    }
+
+    #[test]
+    fn versioned_slot_drain_resets_lag_but_not_version_numbering() {
+        let mut slot = VersionedSlot::new(4);
+        slot.publish_evicting(1.0);
+        slot.publish_evicting(2.0);
+        assert_eq!(slot.drain().count(), 2);
+        assert_eq!(slot.lag(), 0);
+        assert_eq!(slot.oldest(), None);
+        // Numbering continues where it left off: the next publish is version 2.
+        assert_eq!(slot.publish_evicting(3.0), (2, None));
+        assert_eq!(slot.oldest(), Some(&(2, 3.0)));
+        assert_eq!(slot.lag(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn versioned_slot_rejects_zero_capacity() {
+        let _ = VersionedSlot::<u8>::new(0);
     }
 }

@@ -17,8 +17,8 @@
 //! |---|---|---|
 //! | `MERGESFL_PIPELINE` | `mergesfl::config` | simulated-clock schedule: `on`/`1`/`true` charges the pipelined makespan, `off`/`0`/`false` (default; also when unset or empty) the barrier one; any other value panics. Execution and trajectories are the same either way |
 //! | `MERGESFL_KERNELS` | `mergesfl_nn::kernels` | `naive` selects the oracle backend (default: blocked) |
-//! | `MERGESFL_MICROKERNEL` | `mergesfl_nn::kernels::runtime` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available) |
-//! | `MERGESFL_TILING` | `mergesfl_nn::kernels::runtime` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,stages=1\|2,tile=MRxNR` (any subset; default: per-shape selection) |
+//! | `MERGESFL_MICROKERNEL` | `mergesfl_nn::kernels::runtime`, `mergesfl::config` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default, also when unset or empty: widest available); any other value panics |
+//! | `MERGESFL_TILING` | `mergesfl_nn::kernels::runtime`, `mergesfl::config` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,tile=MRxNR` (any subset; default, also when unset or empty: per-shape selection); an unknown key or a malformed value panics, and `stages=1` is accepted and changes nothing |
 //! | `MERGESFL_TENSOR_POOL` | `mergesfl::config`, `mergesfl_nn::pool` | `off`/`0`/`false` disables pooled tensor memory |
 //! | `MERGESFL_COUNT_ALLOCS` | `mergesfl_nn::pool` | `1`/`on`/`true` enables the counting global allocator |
 //! | `MERGESFL_NUM_SERVERS` | `mergesfl::config` | number of top-model shards (integer ≥ 1) |

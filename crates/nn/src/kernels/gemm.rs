@@ -5,18 +5,15 @@
 //! *accumulate into* `C`, so callers seed `C` with zeros or a bias broadcast and may pass
 //! a fused [`Epilogue`] applied after the product.
 //!
-//! How a product actually runs is decided by the process
-//! [`runtime`](super::runtime::runtime): it plans a
-//! [`TilingScheme`](super::tiling::TilingScheme) per shape and this module executes it.
-//! Three drivers exist, one per [`Staging`](super::tiling::Staging) mode:
+//! How a product actually runs is decided by [`plan`](super::runtime::plan): it picks the
+//! naive nest or a [`TilingScheme`](super::tiling::TilingScheme) per shape and this
+//! module executes it. Two tiled drivers exist, one per
+//! [`Staging`](super::tiling::Staging) mode:
 //!
 //! * **direct** — unpacked register tiling for small and skinny shapes;
 //! * **single** — the classic BLIS loop nest: `NC`-wide column blocks of B packed into
 //!   `NR` panels, `MC`-tall row blocks of A into `MR` panels, an `MR×NR` micro-kernel
-//!   (see [`super::micro`]) walking the shared `KC` dimension;
-//! * **double** — the same packed loop nest, but a persistent per-thread stage thread
-//!   packs stage `i+1`'s panels into an alternate buffer pair while the micro-kernel
-//!   consumes stage `i`'s, hiding pack latency behind compute.
+//!   (see [`super::micro`]) walking the shared `KC` dimension.
 //!
 //! Every driver **loads the destination tile and folds into it**, so each output element
 //! is accumulated in exactly the same ascending-`k` order as the naive loops — all
@@ -30,14 +27,13 @@
 
 #![allow(
     unsafe_code,
-    reason = "audited: micro-kernel invocation and the packer thread's Send wrapper; every \
-              block carries a SAFETY comment"
+    reason = "audited: micro-kernel invocation; every block carries a SAFETY comment"
 )]
 
 use rayon::prelude::*;
 
 use super::micro::{self, MicroKernelId, MicroSelect};
-use super::runtime::{micro_select, panel_scheme, record_stage_wait, runtime, GemmPlan};
+use super::runtime::{micro_select, panel_scheme, plan, GemmPlan};
 use super::tiling::{PartitionSize, Staging, TilingScheme};
 use super::KernelBackend;
 
@@ -143,7 +139,7 @@ pub fn gemm_tn(
     gemm_cfg(backend, Trans::Tn, m, n, k, a, b, c, epilogue);
 }
 
-/// Backend-dispatched entry point: the runtime plans the scheme per shape.
+/// Backend-dispatched entry point: [`plan`] picks the scheme per shape.
 pub fn gemm_cfg(
     backend: KernelBackend,
     trans: Trans,
@@ -161,56 +157,45 @@ pub fn gemm_cfg(
 
     match backend {
         KernelBackend::Naive => gemm_naive(trans, m, n, k, a, b, c),
-        KernelBackend::Blocked => {
-            let rt = runtime();
-            let plan = rt.select(trans, m, n, k);
-            let flops = 2 * m * n * k;
-            let threads = rayon::current_num_threads();
-            let fan_out = match &plan {
-                GemmPlan::Tiled(scheme, _) => {
-                    scheme.stage != Staging::Direct
-                        && threads > 1
-                        && flops >= PAR_MIN_FLOPS
-                        && m >= 2 * scheme.tile.mr
-                        && n > 0
+        KernelBackend::Blocked => match plan(trans, m, n, k) {
+            GemmPlan::Naive => gemm_naive(trans, m, n, k, a, b, c),
+            GemmPlan::Tiled(scheme, micro) => {
+                let threads = rayon::current_num_threads();
+                let fan_out = scheme.stage != Staging::Direct
+                    && threads > 1
+                    && 2 * m * n * k >= PAR_MIN_FLOPS
+                    && m >= 2 * scheme.tile.mr
+                    && n > 0;
+                if fan_out {
+                    // Fixed panel order: thread t owns rows [t*rows_per, ...), and every
+                    // element is accumulated exactly as in the single-threaded path.
+                    let rows_per = m.div_ceil(threads).max(scheme.tile.mr);
+                    let tasks: Vec<(usize, &mut [f32])> = c
+                        .chunks_mut(rows_per * n)
+                        .enumerate()
+                        .map(|(t, chunk)| (t * rows_per, chunk))
+                        // lint: allow(hot-path-alloc) multi-core fan-out task list; the
+                        // alloc-gated single-core path never reaches here
+                        .collect();
+                    tasks.into_par_iter().for_each(|(row0, c_rows)| {
+                        let m_local = c_rows.len() / n;
+                        gemm_dispatch(
+                            trans,
+                            (m, n, k),
+                            a,
+                            b,
+                            c_rows,
+                            row0,
+                            m_local,
+                            &scheme,
+                            micro,
+                        );
+                    });
+                } else {
+                    gemm_dispatch(trans, (m, n, k), a, b, c, 0, m, &scheme, micro);
                 }
-                GemmPlan::Naive => false,
-            };
-            if let (true, GemmPlan::Tiled(scheme, micro)) = (fan_out, &plan) {
-                // The fan-out already owns every core, so each row slice runs
-                // single-stage: a per-slice pack thread would only oversubscribe.
-                let slice_scheme = TilingScheme {
-                    stage: Staging::Single,
-                    ..*scheme
-                };
-                // Fixed panel order: thread t owns rows [t*rows_per, ...), and every
-                // element is accumulated exactly as in the single-threaded path.
-                let rows_per = m.div_ceil(threads).max(scheme.tile.mr);
-                let tasks: Vec<(usize, &mut [f32])> = c
-                    .chunks_mut(rows_per * n)
-                    .enumerate()
-                    .map(|(t, chunk)| (t * rows_per, chunk))
-                    // lint: allow(hot-path-alloc) multi-core fan-out task list; the
-                    // alloc-gated single-core path never reaches here
-                    .collect();
-                tasks.into_par_iter().for_each(|(row0, c_rows)| {
-                    let m_local = c_rows.len() / n;
-                    gemm_dispatch(
-                        trans,
-                        (m, n, k),
-                        a,
-                        b,
-                        c_rows,
-                        row0,
-                        m_local,
-                        &slice_scheme,
-                        *micro,
-                    );
-                });
-            } else {
-                rt.gemm(&plan, trans, (m, n, k), a, b, c, 0, m);
             }
-        }
+        },
     }
     epilogue.apply(c, n);
 }
@@ -247,15 +232,7 @@ pub fn gemm_with_scheme(
 // exact semantics the tiled drivers reproduce.
 // ---------------------------------------------------------------------------
 
-pub(super) fn gemm_naive(
-    trans: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
+fn gemm_naive(trans: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     match trans {
         Trans::Nn => {
             for i in 0..m {
@@ -582,7 +559,7 @@ pub(super) fn with_panel_kernel(lanes: usize, op: impl PanelOp) {
 /// Runs one scheme over the row slice `c_rows` (rows `[row0, row0 + m_local)` of the full
 /// `[m, n]` output). `dims` carries the full problem sizes so the transposed layouts can
 /// index A and B globally.
-pub(super) fn gemm_dispatch(
+fn gemm_dispatch(
     trans: Trans,
     dims: (usize, usize, usize),
     a: &[f32],
@@ -617,9 +594,6 @@ impl PanelOp for Tiled<'_> {
             Staging::Direct => gemm_direct::<TMR, TNR>(trans, dims, a, b, c_rows, row0, m_local),
             Staging::Single => {
                 gemm_packed_single(trans, dims, a, b, c_rows, row0, m_local, part, pk)
-            }
-            Staging::Double => {
-                gemm_packed_double(trans, dims, a, b, c_rows, row0, m_local, part, pk)
             }
         }
     }
@@ -699,8 +673,7 @@ impl<const TMR: usize, const TNR: usize> PanelKernel<TMR, TNR> {
     /// Folds one packed block into the C tiles it covers: `ap` holds the `TMR`-row panels
     /// of `mc_eff` rows, `bp` the `TNR`-column panels of `nc_eff` columns, both `kc_eff`
     /// deep, and the block starts at row `ic`, column `jc` of the row-major `[_, n]`
-    /// `c_rows`. Shared by the single- and double-stage drivers so both accumulate in
-    /// exactly the same order.
+    /// `c_rows`.
     fn fold_block(
         &self,
         ap: &[f32],
@@ -791,317 +764,6 @@ fn gemm_packed_single<const TMR: usize, const TNR: usize>(
     crate::pool::recycle(bp);
 }
 
-// ---------------------------------------------------------------------------
-// Packed double-buffered driver.
-//
-// Stage order is jc → pc → ic, identical to the single-stage driver; stages are
-// numbered t = g·ics + r where g enumerates (jc, pc) block pairs and r the ic
-// blocks within the pair. The persistent per-thread packer thread packs stage
-// t's A panel into ap[t % 2] (and, when r == 0, the pair's B panel into
-// bp[g % 2]) and signals ready(t); the compute side waits for ready(t), folds
-// the block, and returns done(t) so the packer may reuse the buffer for t + 2.
-// The packer therefore runs at most one stage ahead, which keeps the live
-// buffers disjoint. Panel contents and the per-element ascending-k fold order
-// are schedule-independent, so double-buffering is bit-identical to
-// single-stage — it changes wall-clock time only.
-// ---------------------------------------------------------------------------
-
-/// One packing job handed to the persistent packer thread: the full stage
-/// enumeration of one GEMM call, with raw views of the operands and the two
-/// panel buffer pairs.
-struct PackJob {
-    trans: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    row0: usize,
-    m_local: usize,
-    mc: usize,
-    kc: usize,
-    nc: usize,
-    tmr: usize,
-    tnr: usize,
-    a: *const f32,
-    a_len: usize,
-    b: *const f32,
-    b_len: usize,
-    ap: [*mut f32; 2],
-    ap_len: usize,
-    bp: [*mut f32; 2],
-    bp_len: usize,
-    total: usize,
-    ics: usize,
-    pcs: usize,
-}
-
-// SAFETY: the raw pointers reference the operands and pooled panel buffers owned
-// by the stack frame of `gemm_packed_double`, which does not return (or drop the
-// buffers) until it has received ready(total - 1) — sent by the packer only
-// after its final write. The ready/done protocol keeps the packer's writes on
-// buffers the compute side is not reading (see the module comment above), so no
-// location is ever accessed from both threads at once.
-unsafe impl Send for PackJob {}
-
-/// Decodes stage `t` of a job into its block coordinates and effective sizes:
-/// `(jc, pc, ic, nc_eff, kc_eff, mc_eff, r)`.
-#[allow(
-    clippy::type_complexity,
-    reason = "a flat coordinate tuple, destructured at the one call site"
-)]
-fn stage_coords(
-    t: usize,
-    ics: usize,
-    pcs: usize,
-    (mc, kc, nc): (usize, usize, usize),
-    (m_local, n, k): (usize, usize, usize),
-) -> (usize, usize, usize, usize, usize, usize, usize) {
-    let g = t / ics;
-    let r = t % ics;
-    let jc = (g / pcs) * nc;
-    let pc = (g % pcs) * kc;
-    let ic = r * mc;
-    (
-        jc,
-        pc,
-        ic,
-        nc.min(n - jc),
-        kc.min(k - pc),
-        mc.min(m_local - ic),
-        r,
-    )
-}
-
-/// The packer thread's main loop: one iteration per job, exiting when the
-/// owning thread drops its command sender.
-fn packer_main(
-    cmd_rx: rayon::channel::Receiver<PackJob>,
-    ready_tx: rayon::channel::Sender<usize>,
-    done_rx: rayon::channel::Receiver<usize>,
-) {
-    while let Some(job) = cmd_rx.recv() {
-        // SAFETY: PackJob's Send contract (above): the operands stay alive and
-        // unmodified for the whole job, and each panel buffer is written only
-        // while the compute side holds no view of it.
-        let (a, b) = unsafe {
-            (
-                std::slice::from_raw_parts(job.a, job.a_len),
-                std::slice::from_raw_parts(job.b, job.b_len),
-            )
-        };
-        for t in 0..job.total {
-            if t >= 2 && done_rx.recv().is_none() {
-                return;
-            }
-            let (jc, pc, ic, nc_eff, kc_eff, mc_eff, r) = stage_coords(
-                t,
-                job.ics,
-                job.pcs,
-                (job.mc, job.kc, job.nc),
-                (job.m_local, job.n, job.k),
-            );
-            if r == 0 {
-                let g = t / job.ics;
-                // SAFETY: buffer bp[g % 2] is free — see the protocol argument in
-                // the module comment; done(t - 2) has been received for t >= 2, so
-                // the compute side is past every stage that read this buffer.
-                let bp = unsafe { std::slice::from_raw_parts_mut(job.bp[g % 2], job.bp_len) };
-                pack_b(
-                    job.trans,
-                    b,
-                    (job.n, job.k),
-                    pc,
-                    jc,
-                    kc_eff,
-                    nc_eff,
-                    bp,
-                    job.tnr,
-                );
-            }
-            // SAFETY: buffer ap[t % 2] was last used by compute stage t - 2, whose
-            // done has been received (or t < 2 and it was never used).
-            let ap = unsafe { std::slice::from_raw_parts_mut(job.ap[t % 2], job.ap_len) };
-            pack_a(
-                job.trans,
-                a,
-                (job.m, job.k),
-                job.row0 + ic,
-                pc,
-                mc_eff,
-                kc_eff,
-                ap,
-                job.tmr,
-            );
-            if ready_tx.send(t).is_err() {
-                return;
-            }
-        }
-    }
-}
-
-/// A persistent per-thread packer: one OS thread plus its command/ready/done
-/// channels, created on first double-buffered GEMM and reused for every
-/// subsequent call on this thread (so the steady-state hot path allocates
-/// nothing). Dropping the handle closes the command channel, which ends the
-/// packer's main loop; the join then reaps the thread.
-struct Packer {
-    cmd_tx: Option<rayon::channel::Sender<PackJob>>,
-    ready_rx: rayon::channel::Receiver<usize>,
-    done_tx: rayon::channel::Sender<usize>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Packer {
-    fn spawn() -> Self {
-        let (cmd_tx, cmd_rx) = rayon::channel::bounded::<PackJob>(1);
-        // Capacity 2: the packer runs at most one stage ahead, so at most two
-        // ready tokens (and two done tokens) are ever in flight.
-        let (ready_tx, ready_rx) = rayon::channel::bounded::<usize>(2);
-        let (done_tx, done_rx) = rayon::channel::bounded::<usize>(2);
-        let handle = std::thread::Builder::new()
-            .name("mergesfl-gemm-pack".into())
-            .spawn(move || packer_main(cmd_rx, ready_tx, done_rx))
-            .expect("gemm: failed to spawn stage packer thread");
-        Self {
-            cmd_tx: Some(cmd_tx),
-            ready_rx,
-            done_tx,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Packer {
-    fn drop(&mut self) {
-        drop(self.cmd_tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-std::thread_local! {
-    static PACKER: std::cell::RefCell<Option<Packer>> = const { std::cell::RefCell::new(None) };
-}
-
-/// Double-buffered packed GEMM: identical loop nest and accumulation order to
-/// [`gemm_packed_single`], with packing offloaded to the persistent stage thread.
-fn gemm_packed_double<const TMR: usize, const TNR: usize>(
-    trans: Trans,
-    dims: (usize, usize, usize),
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
-    part: &PartitionSize,
-    pk: PanelKernel<TMR, TNR>,
-) {
-    let (m, n, k) = dims;
-    if m_local == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let kc = part.kc.min(k);
-    let mc = part.mc.min(m_local);
-    let nc = part.nc.min(n);
-    let ap_len = mc.div_ceil(TMR) * TMR * kc;
-    let bp_len = nc.div_ceil(TNR) * TNR * kc;
-    // Two buffers per operand for the double buffer; like the single-stage
-    // driver, every slot read is written by the packer first, so the checkout
-    // skips zeroing. The Vecs themselves must stay untouched until the job
-    // drains — the packer writes through raw views of their heap storage.
-    let mut ap_bufs = [
-        crate::pool::take_uninit::<f32>(ap_len),
-        crate::pool::take_uninit::<f32>(ap_len),
-    ];
-    let mut bp_bufs = [
-        crate::pool::take_uninit::<f32>(bp_len),
-        crate::pool::take_uninit::<f32>(bp_len),
-    ];
-
-    let ics = m_local.div_ceil(mc);
-    let pcs = k.div_ceil(kc);
-    let jcs = n.div_ceil(nc);
-    let total = jcs * pcs * ics;
-
-    let job = PackJob {
-        trans,
-        m,
-        n,
-        k,
-        row0,
-        m_local,
-        mc,
-        kc,
-        nc,
-        tmr: TMR,
-        tnr: TNR,
-        a: a.as_ptr(),
-        a_len: a.len(),
-        b: b.as_ptr(),
-        b_len: b.len(),
-        ap: [ap_bufs[0].as_mut_ptr(), ap_bufs[1].as_mut_ptr()],
-        ap_len,
-        bp: [bp_bufs[0].as_mut_ptr(), bp_bufs[1].as_mut_ptr()],
-        bp_len,
-        total,
-        ics,
-        pcs,
-    };
-    let ap_ptrs = job.ap;
-    let bp_ptrs = job.bp;
-
-    PACKER.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let packer = slot.get_or_insert_with(Packer::spawn);
-        if packer
-            .cmd_tx
-            .as_ref()
-            .expect("gemm: packer command channel closed")
-            .send(job)
-            .is_err()
-        {
-            panic!("gemm: stage packer thread terminated");
-        }
-        let mut wait_ns = 0u64;
-        for t in 0..total {
-            let t0 = std::time::Instant::now();
-            match packer.ready_rx.recv() {
-                Some(tok) => debug_assert_eq!(tok, t),
-                None => panic!("gemm: stage packer thread terminated mid-job"),
-            }
-            wait_ns += t0.elapsed().as_nanos() as u64;
-            let (jc, _pc, ic, nc_eff, kc_eff, mc_eff, _r) =
-                stage_coords(t, ics, pcs, (mc, kc, nc), (m_local, n, k));
-            let g = t / ics;
-            // SAFETY: ready(t) guarantees the packer has finished writing
-            // ap[t % 2] (stage t) and bp[g % 2] (stage pair g) and will not
-            // touch either again before done(t) / done of this pair's last
-            // stage — which cannot be sent before these reads complete.
-            let (ap, bp) = unsafe {
-                (
-                    std::slice::from_raw_parts(ap_ptrs[t % 2], ap_len),
-                    std::slice::from_raw_parts(bp_ptrs[g % 2], bp_len),
-                )
-            };
-            pk.fold_block(ap, bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff);
-            // The packer only waits for done(t) before packing stage t + 2, so
-            // the last two stages need no token (and sending one would strand
-            // it in the channel for the next job).
-            if t + 2 < total && packer.done_tx.send(t).is_err() {
-                panic!("gemm: stage packer thread terminated mid-job");
-            }
-        }
-        record_stage_wait(wait_ns, total as u64);
-    });
-
-    let [ap0, ap1] = ap_bufs;
-    let [bp0, bp1] = bp_bufs;
-    crate::pool::recycle(ap0);
-    crate::pool::recycle(ap1);
-    crate::pool::recycle(bp0);
-    crate::pool::recycle(bp1);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1133,7 +795,7 @@ mod tests {
         let seeded_c = c_naive.clone();
         gemm_naive(trans, m, n, k, &a, &b, &mut c_naive);
         // Tiny blocking forces many ragged panels and kc splits through every staging.
-        for stage in [Staging::Direct, Staging::Single, Staging::Double] {
+        for stage in [Staging::Direct, Staging::Single] {
             let mut c_tiled = seeded_c.clone();
             gemm_with_scheme(
                 trans,
@@ -1173,48 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn double_buffering_reuses_one_packer_across_many_stage_shapes() {
-        // Stage counts 1, 2 and many (ragged in every dimension) through the same
-        // thread-local packer, interleaved — exercises the job framing (no stranded
-        // ready/done tokens between jobs).
-        let (m, n, k) = (23, 19, 31);
-        let mut rng = seeded(42);
-        let a = random_vec(&mut rng, m * k);
-        let b = random_vec(&mut rng, k * n);
-        let mut want = vec![0.0f32; m * n];
-        gemm_naive(Trans::Nn, m, n, k, &a, &b, &mut want);
-        for (mc, kc, nc) in [
-            (32, 32, 32), // 1 stage
-            (12, 32, 32), // 2 stages (ic split only)
-            (8, 8, 8),    // 36 stages
-            (5, 7, 6),    // ragged everywhere
-        ] {
-            let scheme = TilingScheme {
-                tile: TileSize { mr: 4, nr: 8 },
-                partition: PartitionSize { mc, kc, nc },
-                stage: Staging::Double,
-            };
-            let mut c = vec![0.0f32; m * n];
-            gemm_with_scheme(
-                Trans::Nn,
-                m,
-                n,
-                k,
-                &a,
-                &b,
-                &mut c,
-                Epilogue::None,
-                &scheme,
-                MicroSelect::Auto,
-            );
-            assert_eq!(
-                want, c,
-                "double-buffered diverged at mc={mc} kc={kc} nc={nc}"
-            );
-        }
-    }
-
-    #[test]
     fn row_sliced_execution_matches_naive_for_every_layout() {
         // Replays exactly what the threaded fan-out does — split C into contiguous row
         // slices and run the dispatcher on each with its row0 offset — so the non-zero
@@ -1227,7 +847,7 @@ mod tests {
             let b = random_vec(&mut rng, k * n);
             let mut c_naive = vec![0.0f32; m * n];
             gemm_naive(trans, m, n, k, &a, &b, &mut c_naive);
-            for stage in [Staging::Direct, Staging::Single, Staging::Double] {
+            for stage in [Staging::Direct, Staging::Single] {
                 let scheme = TilingScheme::packed(TileSize { mr: 4, nr: 8 }, stage);
                 for rows_per in [5usize, 8, 16, 37] {
                     let mut c_sliced = vec![0.0f32; m * n];
@@ -1406,7 +1026,7 @@ mod tests {
             gemm_nt(backend, 0, 4, 3, &[], &random(12), &mut c, Epilogue::None);
         }
         // Degenerate shapes through every explicit staging.
-        for stage in [Staging::Direct, Staging::Single, Staging::Double] {
+        for stage in [Staging::Direct, Staging::Single] {
             let scheme = TilingScheme::packed(TileSize { mr: 4, nr: 8 }, stage);
             let mut c: [f32; 0] = [];
             gemm_with_scheme(

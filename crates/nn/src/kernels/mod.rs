@@ -8,13 +8,11 @@
 //! * [`KernelBackend::Naive`] — the original straightforward loop nests. They are kept
 //!   verbatim as the *test oracle*: slow, obviously correct, and the reference every
 //!   optimised path is compared against.
-//! * [`KernelBackend::Blocked`] — the kernel **runtime**: [`runtime::Runtime::select`]
-//!   plans each GEMM as either the naive nest or an explicit [`tiling::TilingScheme`]
-//!   (register tile, mc/kc/nc cache partition, `Direct`/`Single`/`Double` panel staging)
-//!   plus a [`micro`] kernel chosen behind CPU feature detection, and the drivers in
-//!   [`gemm`] execute whatever plan they are handed — including double-buffered
-//!   multi-stage execution, where a persistent packer thread overlaps the next stage's
-//!   packing with the current stage's compute. Convolutions ([`conv`]) run the same
+//! * [`KernelBackend::Blocked`] — [`runtime::plan`] plans each GEMM as either the naive
+//!   nest or an explicit [`tiling::TilingScheme`] (register tile, mc/kc/nc cache
+//!   partition, `Direct` or `Single` panel staging) plus a [`micro`] kernel chosen behind
+//!   CPU feature detection, and the drivers in [`gemm`] execute whatever plan they are
+//!   handed, packing inline on the calling thread. Convolutions ([`conv`]) run the same
 //!   micro-kernels through their *gathered* entry, which reads one operand in place
 //!   through two offset tables over a once-staged, zero-padded input — one batch-wide
 //!   product per layer, no patch matrix and no patch panel — and intra-op parallelism fans
@@ -45,8 +43,8 @@ pub mod tiling;
 pub use gemm::{gemm_cfg, gemm_nn, gemm_nt, gemm_tn, gemm_with_scheme, Epilogue, Trans};
 pub use micro::{MicroKernelId, MicroSelect, ALL_MICRO_KERNELS};
 pub use runtime::{
-    reset_stage_stats, runtime, set_micro_override, set_tiling_override, stage_stats, GemmPlan,
-    Runtime, StageStats,
+    parse_micro_kernel_setting, parse_tiling_setting, plan, reset_stage_stats, set_micro_override,
+    set_tiling_override, stage_stats, GemmPlan, StageStats,
 };
 pub use tiling::{PartitionSize, Staging, TileSize, TilingOverride, TilingScheme};
 

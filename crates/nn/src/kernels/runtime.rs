@@ -1,15 +1,12 @@
-//! The kernel runtime: device abstraction, per-shape scheme selection, knobs.
+//! Kernel planning: per-shape scheme selection and the two kernel knobs.
 //!
-//! Modeled on CubeCL's `Runtime` trait: a [`Runtime`] owns kernel selection for
-//! one device class and executes GEMMs according to an explicit
-//! [`TilingScheme`] instead of hardcoded blocking constants. Layer code never
-//! names a device — it calls [`crate::kernels::gemm::gemm_cfg`], which asks the
-//! process [`runtime()`] to plan and run the product. A future GPU/wgpu backend
-//! is a second `Runtime` implementation slotted in behind [`runtime()`];
-//! nothing above this seam changes.
+//! [`plan`] decides how one GEMM runs — the naive nest or an explicit
+//! [`TilingScheme`] plus micro-kernel policy — and
+//! [`crate::kernels::gemm::gemm_cfg`] executes the plan it returns. Layer code
+//! never names a scheme or a micro-kernel.
 //!
-//! Selection policy ([`CpuRuntime::select`]) — layout-aware, because the naive
-//! nests vectorise very differently per layout (measured on the reference host):
+//! Selection policy ([`plan`]) — layout-aware, because the naive nests
+//! vectorise very differently per layout (measured on the reference host):
 //!
 //! 1. `2·m·n·k < SMALL_MIN_FLOPS` → [`GemmPlan::Naive`]: at a few hundred
 //!    flops even the register tile's setup loses to the plain loops.
@@ -24,23 +21,25 @@
 //!    sub-threshold shape bounced to the scalar naive nest and everything above
 //!    it paid packing overhead it could not amortise.
 //! 4. Packed schemes take their tile from the widest available micro-kernel
-//!    (AVX-512 wide `16×16` → AVX-512 `16×8` → AVX `8×8` → portable `4×8`);
-//!    staging is double-buffered when a spare core exists, single-stage
-//!    otherwise.
+//!    (AVX-512 wide `16×16` → AVX-512 `16×8` → AVX `8×8` → portable `4×8`)
+//!    and pack single-stage, whatever the thread count: a plan depends on the
+//!    shape and the knobs only.
 //! 5. The convolutions, which bring their own operands, take the same packed
-//!    scheme single-stage ([`panel_scheme`]) — on the 8-lane tile instead of
-//!    the 16-lane one when the product has at most eight lanes to fill.
+//!    scheme ([`panel_scheme`]) — on the 8-lane tile instead of the 16-lane
+//!    one when the product has at most eight lanes to fill.
 //!
 //! Two knobs adjust the plan (env or `RunConfig`): `MERGESFL_MICROKERNEL`
-//! (`portable`/`avx`/`avx512`/`avx512w` — unavailable kernels are ignored) and
-//! `MERGESFL_TILING` (`mc=..,kc=..,nc=..,stages=..,tile=MRxNR`, applied on top
-//! of selection for packed schemes). Every scheme produces bit-identical
-//! results, so the knobs are pure performance controls.
+//! (`portable`/`avx`/`avx512`/`avx512w` — kernels the host lacks degrade to
+//! portable) and `MERGESFL_TILING` (`mc=..,kc=..,nc=..,tile=MRxNR`, applied on
+//! top of selection for packed schemes). Each is parsed by one function
+//! ([`parse_micro_kernel_setting`], [`parse_tiling_setting`]) that panics on a
+//! value it does not know. Every scheme produces bit-identical results, so the
+//! knobs are pure performance controls.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Once;
 
-use super::gemm::{gemm_dispatch, gemm_naive, Trans};
+use super::gemm::Trans;
 use super::micro::{MicroKernelId, MicroSelect};
 use super::tiling::{Staging, TileSize, TilingOverride, TilingScheme};
 
@@ -54,7 +53,7 @@ pub const SMALL_MIN_FLOPS: usize = 1 << 9;
 /// [`SMALL_MIN_FLOPS`] up.
 pub const BLOCKED_MIN_FLOPS: usize = 1 << 15;
 
-/// The execution plan the runtime picks for one GEMM shape.
+/// The execution plan [`plan`] picks for one GEMM shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmPlan {
     /// Run the naive oracle loops (tiny products).
@@ -63,126 +62,49 @@ pub enum GemmPlan {
     Tiled(TilingScheme, MicroSelect),
 }
 
-/// A kernel execution device, CubeCL-style: owns scheme selection and runs
-/// GEMMs for one hardware class.
-pub trait Runtime: Sync {
-    /// Device-class name, e.g. `"cpu"`.
-    fn name(&self) -> &'static str;
-
-    /// Whether this device can execute the given micro-kernel.
-    fn supports(&self, id: MicroKernelId) -> bool;
-
-    /// Plans one `op(A)·op(B)` product of logical shape `m × n × k`. The
-    /// layout participates because the relative cost of the naive, direct and
-    /// packed plans depends on which operands are contiguous. Must accept any
-    /// shape (including zero extents) without panicking.
-    fn select(&self, trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan;
-
-    /// Executes `C += op(A)·op(B)` over the row slice `c_rows` (rows
-    /// `[row0, row0 + m_local)` of the full output) according to `plan`.
-    /// Implementations must preserve the ascending-`k` fold order per element.
-    fn gemm(
-        &self,
-        plan: &GemmPlan,
-        trans: Trans,
-        dims: (usize, usize, usize),
-        a: &[f32],
-        b: &[f32],
-        c_rows: &mut [f32],
-        row0: usize,
-        m_local: usize,
-    );
-}
-
-/// The host-CPU runtime: portable/AVX/AVX-512 micro-kernels, cache-blocked
-/// packing, optional double-buffered staging.
-pub struct CpuRuntime;
-
-impl Runtime for CpuRuntime {
-    fn name(&self) -> &'static str {
-        "cpu"
+/// Plans one `op(A)·op(B)` product of logical shape `m × n × k` (see the module
+/// docs for the policy). The layout participates because the relative cost of
+/// the naive, direct and packed plans depends on which operands are contiguous.
+/// Accepts any shape, zero extents included, without panicking.
+pub fn plan(trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan {
+    let micro = micro_select();
+    let flops = m.saturating_mul(2).saturating_mul(n).saturating_mul(k);
+    if flops < SMALL_MIN_FLOPS {
+        return GemmPlan::Naive;
     }
-
-    fn supports(&self, id: MicroKernelId) -> bool {
-        id.is_available()
-    }
-
-    fn select(&self, trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan {
-        let micro = micro_select();
-        let flops = m.saturating_mul(2).saturating_mul(n).saturating_mul(k);
-        if flops < SMALL_MIN_FLOPS {
-            return GemmPlan::Naive;
-        }
-        let small_tile = TilingScheme::small(m, n, k).tile;
-        let skinny = m < small_tile.mr || n < small_tile.nr;
-        match trans {
-            // B rows contiguous: the naive nest auto-vectorises and beats any
-            // tile until packing amortises.
-            Trans::Nn | Trans::Tn => {
-                if skinny || flops < BLOCKED_MIN_FLOPS {
-                    return GemmPlan::Naive;
-                }
-            }
-            // Scalar naive nest: packing pays almost immediately, except the
-            // skinny-m wide-n band where the unpacked register tile is the
-            // fastest allocation-free plan.
-            Trans::Nt => {
-                if m < small_tile.mr && n >= small_tile.nr {
-                    return GemmPlan::Tiled(TilingScheme::small(m, n, k), micro);
-                }
-                if n < small_tile.nr {
-                    return GemmPlan::Naive;
-                }
+    let small_tile = TilingScheme::small(m, n, k).tile;
+    let skinny = m < small_tile.mr || n < small_tile.nr;
+    match trans {
+        // B rows contiguous: the naive nest auto-vectorises and beats any
+        // tile until packing amortises.
+        Trans::Nn | Trans::Tn => {
+            if skinny || flops < BLOCKED_MIN_FLOPS {
+                return GemmPlan::Naive;
             }
         }
-        let stage = if rayon::current_num_threads() > 1 {
-            Staging::Double
-        } else {
-            Staging::Single
-        };
-        GemmPlan::Tiled(packed_scheme(micro, stage), micro)
-    }
-
-    fn gemm(
-        &self,
-        plan: &GemmPlan,
-        trans: Trans,
-        dims: (usize, usize, usize),
-        a: &[f32],
-        b: &[f32],
-        c_rows: &mut [f32],
-        row0: usize,
-        m_local: usize,
-    ) {
-        match plan {
-            GemmPlan::Naive => {
-                debug_assert_eq!(row0, 0);
-                let (_, n, k) = dims;
-                gemm_naive(trans, m_local, n, k, a, b, c_rows);
+        // Scalar naive nest: packing pays almost immediately, except the
+        // skinny-m wide-n band where the unpacked register tile is the
+        // fastest allocation-free plan.
+        Trans::Nt => {
+            if m < small_tile.mr && n >= small_tile.nr {
+                return GemmPlan::Tiled(TilingScheme::small(m, n, k), micro);
             }
-            GemmPlan::Tiled(scheme, micro) => {
-                gemm_dispatch(trans, dims, a, b, c_rows, row0, m_local, scheme, *micro);
+            if n < small_tile.nr {
+                return GemmPlan::Naive;
             }
         }
     }
-}
-
-static CPU_RUNTIME: CpuRuntime = CpuRuntime;
-
-/// The process-wide kernel runtime. Today always the CPU device; the GPU
-/// extension point is a second implementation returned from here.
-pub fn runtime() -> &'static dyn Runtime {
-    &CPU_RUNTIME
+    GemmPlan::Tiled(packed_scheme(micro), micro)
 }
 
 /// The packed scheme of the current knobs: the preferred tile of `micro`, default cache
 /// blocking, `MERGESFL_TILING` applied on top.
-fn packed_scheme(micro: MicroSelect, stage: Staging) -> TilingScheme {
-    scheme_for(preferred_tile(micro), stage)
+fn packed_scheme(micro: MicroSelect) -> TilingScheme {
+    scheme_for(preferred_tile(micro))
 }
 
 /// The scheme of a panel driver that brings its own operands (the convolutions) and fills
-/// `lanes` accumulator lanes: [`packed_scheme`]'s, single-stage, so both honour the same
+/// `lanes` accumulator lanes: [`packed_scheme`]'s, so both honour the same
 /// overrides — except that an automatic selection that has no more than eight lanes to
 /// fill (a `c_out ≤ 8` convolution) takes the 8-lane tile of the same height instead of
 /// the 16-lane one: full 256-bit vectors beat half-empty 512-bit ones (0.8× the time on
@@ -197,11 +119,11 @@ pub(super) fn panel_scheme(micro: MicroSelect, lanes: usize) -> TilingScheme {
     {
         tile = narrow.tile();
     }
-    scheme_for(tile, Staging::Single)
+    scheme_for(tile)
 }
 
-fn scheme_for(tile: TileSize, stage: Staging) -> TilingScheme {
-    let mut scheme = TilingScheme::packed(tile, stage);
+fn scheme_for(tile: TileSize) -> TilingScheme {
+    let mut scheme = TilingScheme::packed(tile, Staging::Single);
     tiling_override().apply(&mut scheme);
     scheme.validate();
     scheme
@@ -231,7 +153,7 @@ fn preferred_tile(micro: MicroSelect) -> TileSize {
 // ---------------------------------------------------------------------------
 // Override knobs.
 //
-// Stored lock-free so `select` (one read per gemm call) costs a few relaxed
+// Stored lock-free so `plan` (one read per gemm call) costs a few relaxed
 // atomic loads and zero allocations. Env values are folded in once, lazily;
 // the RunConfig setters below overwrite them for the rest of the process.
 // ---------------------------------------------------------------------------
@@ -242,7 +164,6 @@ static MICRO_OVERRIDE: AtomicU8 = AtomicU8::new(MICRO_AUTO);
 static OVERRIDE_MC: AtomicUsize = AtomicUsize::new(0);
 static OVERRIDE_KC: AtomicUsize = AtomicUsize::new(0);
 static OVERRIDE_NC: AtomicUsize = AtomicUsize::new(0);
-static OVERRIDE_STAGES: AtomicU8 = AtomicU8::new(0);
 static OVERRIDE_TILE: AtomicU8 = AtomicU8::new(0);
 static ENV_INIT: Once = Once::new();
 
@@ -285,25 +206,42 @@ fn tile_from_tag(tag: u8) -> Option<TileSize> {
     }
 }
 
+/// Parses a `MERGESFL_MICROKERNEL` setting. Unset or empty means auto-selection; any
+/// other value must name a micro-kernel (ASCII case-insensitive) — a mistyped one panics
+/// instead of silently running the automatic choice. A named kernel the host lacks is
+/// still accepted: planning degrades it to the portable tile.
+pub fn parse_micro_kernel_setting(setting: Option<&str>) -> Option<MicroKernelId> {
+    match setting.map(str::trim) {
+        None | Some("") => None,
+        Some(name) => Some(MicroKernelId::from_name(name).unwrap_or_else(|| {
+            panic!(
+                "MERGESFL_MICROKERNEL={name:?} is not a micro-kernel; \
+                 accepted values: portable, avx, avx512, avx512w"
+            )
+        })),
+    }
+}
+
+/// Parses a `MERGESFL_TILING` setting. Unset or empty means no override; any other value
+/// must be a spec [`TilingOverride::parse`] accepts — an unknown key or a malformed value
+/// panics instead of silently dropping the whole spec.
+pub fn parse_tiling_setting(setting: Option<&str>) -> TilingOverride {
+    TilingOverride::parse(setting.unwrap_or("")).unwrap_or_else(|msg| {
+        panic!(
+            "{msg}; accepted: comma-separated mc=N, kc=N, nc=N (positive integers), \
+             tile=4x8|8x8|16x8|16x16"
+        )
+    })
+}
+
 fn init_overrides_from_env() {
     ENV_INIT.call_once(|| {
-        if let Some(spec) = crate::env::var("MERGESFL_MICROKERNEL") {
-            let spec = spec.trim();
-            if !spec.is_empty() {
-                match MicroKernelId::from_name(spec) {
-                    Some(id) => store_micro_override(Some(id)),
-                    None => eprintln!(
-                        "MERGESFL_MICROKERNEL: unknown kernel `{spec}` (portable/avx/avx512/avx512w); ignored"
-                    ),
-                }
-            }
-        }
-        if let Some(spec) = crate::env::var("MERGESFL_TILING") {
-            match TilingOverride::parse(&spec) {
-                Ok(ov) => store_tiling_override(ov),
-                Err(msg) => eprintln!("{msg}; MERGESFL_TILING ignored"),
-            }
-        }
+        store_micro_override(parse_micro_kernel_setting(
+            crate::env::var("MERGESFL_MICROKERNEL").as_deref(),
+        ));
+        store_tiling_override(parse_tiling_setting(
+            crate::env::var("MERGESFL_TILING").as_deref(),
+        ));
     });
 }
 
@@ -315,15 +253,6 @@ fn store_tiling_override(ov: TilingOverride) {
     OVERRIDE_MC.store(ov.mc.unwrap_or(0), Ordering::Relaxed);
     OVERRIDE_KC.store(ov.kc.unwrap_or(0), Ordering::Relaxed);
     OVERRIDE_NC.store(ov.nc.unwrap_or(0), Ordering::Relaxed);
-    OVERRIDE_STAGES.store(
-        match ov.stages {
-            None => 0,
-            Some(Staging::Single) => 1,
-            Some(Staging::Double) => 2,
-            Some(Staging::Direct) => 0,
-        },
-        Ordering::Relaxed,
-    );
     OVERRIDE_TILE.store(ov.tile.map_or(0, tile_tag), Ordering::Relaxed);
 }
 
@@ -367,28 +296,15 @@ pub fn tiling_override() -> TilingOverride {
             0 => None,
             v => Some(v),
         },
-        stages: match OVERRIDE_STAGES.load(Ordering::Relaxed) {
-            1 => Some(Staging::Single),
-            2 => Some(Staging::Double),
-            _ => None,
-        },
         tile: tile_from_tag(OVERRIDE_TILE.load(Ordering::Relaxed)),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Stage-overlap accounting.
-//
-// The double-buffered driver records how long the compute side sat waiting for
-// a packed stage (`compute_wait_ns`) and how many stages ran. `kernel_bench`
-// resets the counters per case and reports wait / wall as "stage idle" — the
-// observable measure of how much pack latency the overlap actually hid.
-// ---------------------------------------------------------------------------
-
-static STAGE_COMPUTE_WAIT_NS: AtomicU64 = AtomicU64::new(0);
-static STAGE_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative pack-vs-compute overlap counters since the last reset.
+/// What the retired double-buffered GEMM driver counted: how long the compute side
+/// waited for its packer thread, over how many stages. Packed GEMMs now pack inline,
+/// so nothing waits and both stay zero. Kept, with [`reset_stage_stats`] and
+/// [`stage_stats`], only because the benchmark package's trace imports them; they go
+/// with the benchmark commit of ROADMAP item 12.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Nanoseconds the compute side spent blocked waiting for a packed stage.
@@ -397,23 +313,12 @@ pub struct StageStats {
     pub stages: u64,
 }
 
-/// Zeroes the overlap counters (call before a measured region).
-pub fn reset_stage_stats() {
-    STAGE_COMPUTE_WAIT_NS.store(0, Ordering::Relaxed);
-    STAGE_COUNT.store(0, Ordering::Relaxed);
-}
+/// Does nothing: there are no stage counters left to reset (see [`StageStats`]).
+pub fn reset_stage_stats() {}
 
-/// Reads the overlap counters accumulated since the last reset.
+/// Always [`StageStats::default()`]: no driver waits on a packer (see [`StageStats`]).
 pub fn stage_stats() -> StageStats {
-    StageStats {
-        compute_wait_ns: STAGE_COMPUTE_WAIT_NS.load(Ordering::Relaxed),
-        stages: STAGE_COUNT.load(Ordering::Relaxed),
-    }
-}
-
-pub(super) fn record_stage_wait(wait_ns: u64, stages: u64) {
-    STAGE_COMPUTE_WAIT_NS.fetch_add(wait_ns, Ordering::Relaxed);
-    STAGE_COUNT.fetch_add(stages, Ordering::Relaxed);
+    StageStats::default()
 }
 
 /// The overrides are process-global; every unit test that writes them, or asserts on
@@ -436,10 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn select_never_panics_on_degenerate_shapes() {
+    fn plan_never_panics_on_degenerate_shapes() {
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
             for &(m, n, k) in &[
                 (0, 0, 0),
@@ -452,8 +356,7 @@ mod tests {
                 (usize::MAX >> 1, usize::MAX >> 1, 1),
                 (usize::MAX, usize::MAX, usize::MAX),
             ] {
-                let plan = rt.select(trans, m, n, k);
-                if let GemmPlan::Tiled(scheme, _) = plan {
+                if let GemmPlan::Tiled(scheme, _) = plan(trans, m, n, k) {
                     scheme.validate();
                 }
             }
@@ -467,42 +370,41 @@ mod tests {
         // moving one deliberately means re-measuring, not just editing the test.
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
 
         // 2*4*4*4 = 128 flops < SMALL_MIN_FLOPS: naive for every layout.
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
-            assert_eq!(rt.select(trans, 4, 4, 4), GemmPlan::Naive, "{trans:?}");
+            assert_eq!(plan(trans, 4, 4, 4), GemmPlan::Naive, "{trans:?}");
         }
 
         // Row-contiguous layouts: the vectorised naive nest wins below the
         // packing crossover...
-        assert_eq!(rt.select(Trans::Nn, 12, 12, 12), GemmPlan::Naive);
-        assert_eq!(rt.select(Trans::Nn, 24, 24, 24), GemmPlan::Naive);
+        assert_eq!(plan(Trans::Nn, 12, 12, 12), GemmPlan::Naive);
+        assert_eq!(plan(Trans::Nn, 24, 24, 24), GemmPlan::Naive);
         // ... and skinny shapes (the [1, n, k] bias-grad GEMV, [m, 1, k]
         // weight-grad slivers) stay naive at any size.
-        assert_eq!(rt.select(Trans::Tn, 1, 64, 256), GemmPlan::Naive);
-        assert_eq!(rt.select(Trans::Nn, 64, 1, 1 << 12), GemmPlan::Naive);
+        assert_eq!(plan(Trans::Tn, 1, 64, 256), GemmPlan::Naive);
+        assert_eq!(plan(Trans::Nn, 64, 1, 1 << 12), GemmPlan::Naive);
         // 2*32^3 = 65536 >= BLOCKED_MIN_FLOPS: packed.
-        match rt.select(Trans::Nn, 32, 32, 32) {
+        match plan(Trans::Nn, 32, 32, 32) {
             GemmPlan::Tiled(scheme, _) => assert_ne!(scheme.stage, Staging::Direct),
             plan => panic!("32^3 Nn should be packed, got {plan:?}"),
         }
 
         // Nt (scalar naive nest): packed from just above SMALL_MIN_FLOPS...
-        match rt.select(Trans::Nt, 8, 8, 8) {
+        match plan(Trans::Nt, 8, 8, 8) {
             GemmPlan::Tiled(scheme, _) => assert_ne!(scheme.stage, Staging::Direct),
             plan => panic!("8x8x8 Nt should be packed, got {plan:?}"),
         }
         // ... the skinny-m wide-n band runs the direct unpacked scheme ...
-        match rt.select(Trans::Nt, 3, 48, 64) {
+        match plan(Trans::Nt, 3, 48, 64) {
             GemmPlan::Tiled(scheme, _) => assert_eq!(scheme.stage, Staging::Direct),
             plan => panic!("3x48x64 Nt should run the direct scheme, got {plan:?}"),
         }
         // ... and skinny-n falls back to naive (nothing vectorises it).
-        assert_eq!(rt.select(Trans::Nt, 64, 1, 256), GemmPlan::Naive);
+        assert_eq!(plan(Trans::Nt, 64, 1, 256), GemmPlan::Naive);
 
         // 256^3 is packed, with the default partition and a supported tile.
-        match rt.select(Trans::Nn, 256, 256, 256) {
+        match plan(Trans::Nn, 256, 256, 256) {
             GemmPlan::Tiled(scheme, _) => {
                 assert_ne!(scheme.stage, Staging::Direct);
                 assert!(scheme.tile.is_supported());
@@ -516,24 +418,22 @@ mod tests {
     fn overrides_shape_the_packed_plan() {
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
         set_tiling_override(TilingOverride {
             mc: Some(64),
             kc: Some(64),
             nc: Some(64),
-            stages: Some(Staging::Double),
             tile: Some(TileSize { mr: 4, nr: 8 }),
         });
-        match rt.select(Trans::Nn, 256, 256, 256) {
+        match plan(Trans::Nn, 256, 256, 256) {
             GemmPlan::Tiled(scheme, _) => {
                 assert_eq!(scheme.partition.mc, 64);
-                assert_eq!(scheme.stage, Staging::Double);
+                assert_eq!(scheme.stage, Staging::Single);
                 assert_eq!(scheme.tile, TileSize { mr: 4, nr: 8 });
             }
             plan => panic!("expected packed plan, got {plan:?}"),
         }
         // Direct plans ignore the partition override.
-        match rt.select(Trans::Nt, 3, 48, 64) {
+        match plan(Trans::Nt, 3, 48, 64) {
             GemmPlan::Tiled(scheme, _) => assert_eq!(scheme.stage, Staging::Direct),
             plan => panic!("expected direct plan, got {plan:?}"),
         }
@@ -544,10 +444,9 @@ mod tests {
     fn forced_micro_kernel_controls_tile() {
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
         set_micro_override(Some(MicroKernelId::Portable));
         assert_eq!(micro_select(), MicroSelect::Force(MicroKernelId::Portable));
-        match rt.select(Trans::Nn, 256, 256, 256) {
+        match plan(Trans::Nn, 256, 256, 256) {
             GemmPlan::Tiled(scheme, _) => assert_eq!(scheme.tile, TileSize { mr: 4, nr: 8 }),
             plan => panic!("expected packed plan, got {plan:?}"),
         }
@@ -560,9 +459,9 @@ mod tests {
         let _guard = lock();
         clear_overrides();
         let (wide, narrow) = (MicroKernelId::Avx512_16x16, MicroKernelId::Avx512_16x8);
-        // Enough lanes: the packed scheme's tile, single-stage, on any host.
+        // Enough lanes: the packed scheme's tile, on any host.
         let full = panel_scheme(MicroSelect::Auto, 16);
-        assert_eq!(full, packed_scheme(MicroSelect::Auto, Staging::Single));
+        assert_eq!(full, packed_scheme(MicroSelect::Auto));
         assert_eq!(panel_scheme(MicroSelect::Auto, 9), full);
         // Eight lanes or fewer: the 8-lane tile where the 16-lane one was the choice.
         let starved = panel_scheme(MicroSelect::Auto, 8);
@@ -590,14 +489,55 @@ mod tests {
     }
 
     #[test]
-    fn stage_stats_accumulate_and_reset() {
-        // Other tests may run double-buffered GEMMs concurrently and add to
-        // the global counters, so assert lower bounds, not exact values.
-        reset_stage_stats();
-        record_stage_wait(120, 3);
-        record_stage_wait(30, 1);
-        let stats = stage_stats();
-        assert!(stats.compute_wait_ns >= 150, "{stats:?}");
-        assert!(stats.stages >= 4, "{stats:?}");
+    fn plan_does_not_depend_on_the_thread_count() {
+        // Fan-out splits a product into row slices; it never changes the scheme a slice
+        // runs. Setting the count starts no thread.
+        let _guard = lock();
+        clear_overrides();
+        let shapes = [
+            (4, 4, 4),
+            (3, 48, 64),
+            (32, 32, 32),
+            (64, 1, 256),
+            (32, 576, 192),
+            (128, 128, 128),
+            (256, 256, 256),
+            (260, 100, 90),
+        ];
+        for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
+            for (m, n, k) in shapes {
+                rayon::set_num_threads(1);
+                let one = plan(trans, m, n, k);
+                rayon::set_num_threads(4);
+                let four = plan(trans, m, n, k);
+                assert_eq!(one, four, "{trans:?} {m}x{n}x{k}");
+            }
+        }
+        rayon::set_num_threads(0);
+    }
+
+    #[test]
+    fn unset_or_empty_knob_settings_mean_auto() {
+        assert_eq!(parse_micro_kernel_setting(None), None);
+        assert_eq!(parse_micro_kernel_setting(Some(" ")), None);
+        assert_eq!(
+            parse_micro_kernel_setting(Some("avx512w")),
+            Some(MicroKernelId::Avx512_16x16)
+        );
+        assert_eq!(parse_tiling_setting(None), TilingOverride::default());
+        assert_eq!(parse_tiling_setting(Some("")), TilingOverride::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "MERGESFL_MICROKERNEL=\"avx2\" is not a micro-kernel")]
+    fn mistyped_micro_kernel_setting_fails_loudly() {
+        parse_micro_kernel_setting(Some("avx2"));
+    }
+
+    #[test]
+    #[should_panic(expected = "MERGESFL_TILING: stages=2 is not a staging")]
+    fn retired_double_staging_setting_fails_loudly() {
+        // Once valid; silently dropping the whole spec would also drop its `mc`.
+        parse_tiling_setting(Some("mc=96,stages=2"));
     }
 }

@@ -11,11 +11,9 @@
 //! * [`PartitionSize`] — the cache blocking (`mc/kc/nc`), i.e. how much of A, B
 //!   and C one packing round stages through L1/L2. This replaces the hardcoded
 //!   `MC/KC/NC` constants of the previous `GemmBlocking` struct.
-//! * [`Staging`] — how packed panels are produced: [`Staging::Direct`] skips
+//! * [`Staging`] — whether panels are packed: [`Staging::Direct`] skips
 //!   packing entirely (the small-shape scheme), [`Staging::Single`] packs
-//!   inline on the compute thread, [`Staging::Double`] double-buffers: a stage
-//!   thread packs stage `i+1`'s panels while the micro-kernel consumes stage
-//!   `i`'s.
+//!   inline on the compute thread, one block at a time.
 //!
 //! Whatever the scheme, every output element folds its `k` contributions in
 //! ascending order, so all schemes produce bit-identical results — the scheme
@@ -74,21 +72,16 @@ impl Default for PartitionSize {
     }
 }
 
-/// How packed panels are produced for the micro-kernel.
+/// Whether the micro-kernel reads packed panels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Staging {
     /// No packing at all: the register tile reads A and B in place. The
     /// small-shape scheme — packing cannot amortise below a few k-iterations,
     /// and skinny shapes (`n < nr`) would pad most of every packed panel.
     Direct,
-    /// Panels are packed inline on the compute thread, one stage at a time
+    /// Panels are packed inline on the compute thread, one block at a time
     /// (the classic BLIS loop nest).
     Single,
-    /// Double-buffered multi-stage execution: while the micro-kernel consumes
-    /// stage `i`'s packed A/B panels, a dedicated stage thread packs stage
-    /// `i+1` into the alternate buffer pair. Hides pack latency behind compute
-    /// when a spare core exists; bit-identical to `Single` always.
-    Double,
 }
 
 impl Staging {
@@ -97,7 +90,6 @@ impl Staging {
         match self {
             Self::Direct => "direct",
             Self::Single => "single",
-            Self::Double => "double",
         }
     }
 }
@@ -152,18 +144,6 @@ impl TilingScheme {
             "TilingScheme: partition sizes must be positive"
         );
     }
-
-    /// Number of stages the packed drivers iterate for an `m_local × n × k`
-    /// product: one per `(nc, mc, kc)` block triple. `Direct` has one stage.
-    pub fn stage_count(&self, m_local: usize, n: usize, k: usize) -> usize {
-        if self.stage == Staging::Direct {
-            return 1;
-        }
-        let jcs = n.div_ceil(self.partition.nc.min(n).max(1));
-        let ics = m_local.div_ceil(self.partition.mc.min(m_local).max(1));
-        let pcs = k.div_ceil(self.partition.kc.min(k).max(1));
-        jcs * ics * pcs
-    }
 }
 
 /// Parsed form of the `MERGESFL_TILING` override: any subset of the scheme's
@@ -171,9 +151,11 @@ impl TilingScheme {
 /// schemes.
 ///
 /// Spec grammar: comma-separated `key=value` pairs, e.g.
-/// `mc=96,kc=192,nc=384,stages=2,tile=16x8`. Keys: `mc`, `kc`, `nc` (positive
-/// integers), `stages` (`1` or `2`), `tile` (`MRxNR`, one of the supported
-/// tiles). Unknown keys or malformed values make the whole spec invalid.
+/// `mc=96,kc=192,nc=384,tile=16x8`. Keys: `mc`, `kc`, `nc` (positive
+/// integers), `tile` (`MRxNR`, one of the supported tiles). Unknown keys or
+/// malformed values make the whole spec invalid. `stages=1` is also accepted
+/// and changes nothing: it names the one packed staging there is, and specs
+/// written when a second one existed still pin it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TilingOverride {
     /// Override of [`PartitionSize::mc`].
@@ -182,8 +164,6 @@ pub struct TilingOverride {
     pub kc: Option<usize>,
     /// Override of [`PartitionSize::nc`].
     pub nc: Option<usize>,
-    /// Override of the packed staging mode (`1` → single, `2` → double).
-    pub stages: Option<Staging>,
     /// Override of the register tile.
     pub tile: Option<TileSize>,
 }
@@ -212,16 +192,12 @@ impl TilingOverride {
                 "mc" => out.mc = Some(parse_dim(value)?),
                 "kc" => out.kc = Some(parse_dim(value)?),
                 "nc" => out.nc = Some(parse_dim(value)?),
+                "stages" if value == "1" => {}
                 "stages" => {
-                    out.stages = Some(match value {
-                        "1" => Staging::Single,
-                        "2" => Staging::Double,
-                        other => {
-                            return Err(format!(
-                                "MERGESFL_TILING: stages={other} (expected 1 or 2)"
-                            ))
-                        }
-                    })
+                    return Err(format!(
+                        "MERGESFL_TILING: stages={value} is not a staging; packed GEMMs run \
+                         single-stage (stages=1)"
+                    ))
                 }
                 "tile" => {
                     let (mr, nr) = value
@@ -244,7 +220,7 @@ impl TilingOverride {
         Ok(out)
     }
 
-    /// Applies the override to a packed scheme (partition, staging, tile).
+    /// Applies the override to a packed scheme (partition, tile).
     /// Direct (small-shape) schemes are left alone — their "partition" is just
     /// the problem extent.
     pub fn apply(&self, scheme: &mut TilingScheme) {
@@ -259,9 +235,6 @@ impl TilingOverride {
         }
         if let Some(nc) = self.nc {
             scheme.partition.nc = nc;
-        }
-        if let Some(stage) = self.stages {
-            scheme.stage = stage;
         }
         if let Some(tile) = self.tile {
             scheme.tile = tile;
@@ -288,27 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn stage_count_covers_ragged_blocks() {
-        let scheme = TilingScheme {
-            tile: TileSize { mr: 4, nr: 8 },
-            partition: PartitionSize {
-                mc: 8,
-                kc: 8,
-                nc: 8,
-            },
-            stage: Staging::Single,
-        };
-        // 9 rows -> 2 mc blocks, 8 cols -> 1 nc block, 17 deep -> 3 kc blocks.
-        assert_eq!(scheme.stage_count(9, 8, 17), 6);
-        // Direct always counts a single stage.
-        assert_eq!(TilingScheme::small(9, 8, 17).stage_count(9, 8, 17), 1);
-        // Degenerate extents never divide by zero.
-        assert_eq!(scheme.stage_count(0, 0, 0), 0);
-    }
-
-    #[test]
     fn override_parses_and_applies() {
-        let ov = TilingOverride::parse("mc=96, kc=192,nc=384,stages=2,tile=16x8").unwrap();
+        let ov = TilingOverride::parse("mc=96, kc=192,nc=384,stages=1,tile=16x8").unwrap();
         let mut scheme = TilingScheme::packed(TileSize { mr: 8, nr: 8 }, Staging::Single);
         ov.apply(&mut scheme);
         assert_eq!(
@@ -320,7 +274,7 @@ mod tests {
                     kc: 192,
                     nc: 384,
                 },
-                stage: Staging::Double,
+                stage: Staging::Single,
             }
         );
         // Direct schemes are never overridden.
@@ -332,7 +286,7 @@ mod tests {
     #[test]
     fn override_rejects_malformed_specs() {
         for bad in [
-            "mc=0", "mc=abc", "stages=3", "tile=5x5", "tile=8", "bogus=1", "mc",
+            "mc=0", "mc=abc", "stages=2", "stages=3", "tile=5x5", "tile=8", "bogus=1", "mc",
         ] {
             assert!(
                 TilingOverride::parse(bad).is_err(),

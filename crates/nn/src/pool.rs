@@ -486,10 +486,30 @@ pub(crate) static POOL_TEST_LOCK: Mutex<()> = Mutex::new(());
 mod tests {
     use super::*;
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        POOL_TEST_LOCK
+    /// Holds [`POOL_TEST_LOCK`] with the pool switched on, and restores the switch on
+    /// drop: the page-identity tests assert what the pool does, so they must run it even
+    /// in a process that starts with `MERGESFL_TENSOR_POOL=off`.
+    struct PoolOn {
+        was_enabled: bool,
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl Drop for PoolOn {
+        fn drop(&mut self) {
+            set_enabled(self.was_enabled);
+        }
+    }
+
+    fn lock() -> PoolOn {
+        let lock = POOL_TEST_LOCK
             .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
+            .unwrap_or_else(|poison| poison.into_inner());
+        let was_enabled = enabled();
+        set_enabled(true);
+        PoolOn {
+            was_enabled,
+            _lock: lock,
+        }
     }
 
     #[test]
@@ -634,7 +654,6 @@ mod tests {
         recycle(buf);
         let delta = stats().since(&before);
         assert_eq!((delta.hits, delta.refills, delta.misses), (0, 0, 0));
-        set_enabled(true);
     }
 
     #[test]

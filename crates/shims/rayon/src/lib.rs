@@ -2,11 +2,13 @@
 //!
 //! The build environment has no crates.io access, so this crate provides the slice of
 //! the rayon API the training engines use — `Vec::into_par_iter().map(f).collect()`
-//! and `for_each` — implemented with `std::thread::scope`. There is no work stealing:
-//! the input is split into one contiguous chunk per available core and each chunk runs
-//! on its own scoped thread. Results are written into pre-assigned slots, so output
-//! order always equals input order regardless of thread scheduling — which is what
-//! keeps parallel training runs bit-identical to sequential ones.
+//! and `for_each`, and `current_num_threads` — implemented with `std::thread::scope`.
+//! [`set_num_threads`] is not rayon API: it repins the fan-out width at run time, where
+//! rayon sizes its pool once. There is no work stealing: the input is split into one
+//! contiguous chunk per available core and each chunk runs on its own scoped thread.
+//! Results are written into pre-assigned slots, so output order always equals input order
+//! regardless of thread scheduling — which is what keeps parallel training runs
+//! bit-identical to sequential ones.
 //!
 //! On a single-core host (or for single-element inputs) everything degrades to a plain
 //! sequential loop with zero thread overhead.
@@ -19,8 +21,6 @@
 pub mod prelude {
     pub use crate::IntoParallelIterator;
 }
-
-pub mod channel;
 
 /// Runtime override of the fan-out width; 0 means "no override". Set via
 /// [`set_num_threads`], checked before the cached environment/host default.

@@ -12,7 +12,7 @@
 
 use mergesfl_nn::kernels::conv::{conv_backward, conv_forward, ConvGeom};
 use mergesfl_nn::kernels::{
-    gemm_cfg, gemm_with_scheme, runtime, set_micro_override, Epilogue, GemmPlan, KernelBackend,
+    gemm_cfg, gemm_with_scheme, plan, set_micro_override, Epilogue, GemmPlan, KernelBackend,
     MicroSelect, PartitionSize, Staging, TilingScheme, Trans, ALL_MICRO_KERNELS,
 };
 use proptest::prelude::*;
@@ -275,8 +275,7 @@ fn linear_layer_matches_manual_naive_computation() {
 /// host is bit-identical to the naive oracle. Cells whose micro-kernel the CPU lacks are
 /// skipped with a message (CI's portable-forced cell still covers their tile via the
 /// generic kernel). Shapes are chosen ragged against both the register tiles and the
-/// shrunk partition so every edge path (partial tiles, multi-stage loops, the packer
-/// hand-off) executes.
+/// shrunk partition so every edge path (partial tiles, several mc/kc/nc blocks) executes.
 #[test]
 fn parity_matrix_micro_kernel_by_scheme_by_layout() {
     let pool: Vec<f32> = (0..POOL)
@@ -300,7 +299,7 @@ fn parity_matrix_micro_kernel_by_scheme_by_layout() {
             );
             continue;
         }
-        for stage in [Staging::Direct, Staging::Single, Staging::Double] {
+        for stage in [Staging::Direct, Staging::Single] {
             let scheme = TilingScheme {
                 tile: micro.tile(),
                 partition,
@@ -359,12 +358,11 @@ proptest! {
             2 => 1usize << 40,
             _ => k_raw,
         };
-        let rt = runtime();
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
-            if let GemmPlan::Tiled(scheme, _) = rt.select(trans, m, n, k) {
+            if let GemmPlan::Tiled(scheme, _) = plan(trans, m, n, k) {
                 scheme.validate();
             }
-            if let GemmPlan::Tiled(scheme, _) = rt.select(trans, k, m, n) {
+            if let GemmPlan::Tiled(scheme, _) = plan(trans, k, m, n) {
                 scheme.validate();
             }
         }
