@@ -1,7 +1,7 @@
 //! Fig. 12: scalability — completion time to a target accuracy and training curves for
 //! clusters of 100, 200, 300 and 400 workers (simulation experiment in the paper), plus
 //! the repo's fleet extension: the same cohort against 10^5–10^6 *registered* clients on
-//! the event-driven control plane (set `MERGESFL_FLEET`; `MERGESFL_CHURN*` adds
+//! the event-driven control plane (set `MERGESFL_FLEET`; `MERGESFL_CHURN=on` adds
 //! availability churn).
 
 use mergesfl::experiment::Approach;

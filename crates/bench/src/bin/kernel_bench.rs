@@ -16,10 +16,11 @@
 //!      case — every zoo stage, forward and backward;
 //!   3. the gate-shape speedup must stay within `MERGESFL_PERF_FLOOR` (default 0.70) of
 //!      the committed `BENCH_kernels.json` baseline — a noise-tolerant regression floor
-//!      rather than an exact match; a missing or unparsable baseline fails the gate;
-//!   4. with the tensor pool enabled, every blocked GEMM/conv case and every max-pool /
-//!      ReLU case must run with zero steady-state heap allocations per iteration
-//!      (`MERGESFL_COUNT_ALLOCS=off` skips the measurement and the gate).
+//!      rather than an exact match; a missing or unparsable baseline, or a floor that is
+//!      not a positive number, fails the gate;
+//!   4. every blocked GEMM/conv case and every max-pool / ReLU case must run with zero
+//!      steady-state heap allocations per iteration (the binary always installs the
+//!      counting allocator, and the tensor pool is on).
 //!
 //! `--check` with all four gates is what CI's `perf-smoke` job runs.
 //!
@@ -420,7 +421,7 @@ struct Measurement {
     /// JSON output: the committed baseline format (and its parser) stays stable.
     blocked_jitter_ns: f64,
     /// Steady-state heap allocations per blocked-path iteration (warmed pool, one
-    /// thread); `None` when counting is disabled via `MERGESFL_COUNT_ALLOCS=off`.
+    /// thread); `None` until the allocation phase has measured it.
     allocs_per_iter: Option<f64>,
 }
 
@@ -829,11 +830,10 @@ fn render_json(results: &[Measurement], threads: usize) -> String {
             num(round3(r.gflops(r.blocked_ns)))
         ));
         out.push_str(&format!("\"speedup\": {}, ", num(round3(r.speedup()))));
-        // `null` when counting was disabled.
-        match r.allocs_per_iter {
-            Some(a) => out.push_str(&format!("\"allocs_per_iter\": {}", num(round3(a)))),
-            None => out.push_str("\"allocs_per_iter\": null"),
-        }
+        let allocs = r
+            .allocs_per_iter
+            .expect("the allocation phase measures every case");
+        out.push_str(&format!("\"allocs_per_iter\": {}", num(round3(allocs))));
         out.push_str(if i + 1 == results.len() {
             "}\n"
         } else {
@@ -901,16 +901,14 @@ fn main() {
 
     // Allocation phase, after all timing: pin the fan-out to one thread so scoped
     // thread spawns on multi-core runners stay out of the steady-state count.
-    if mergesfl_nn::pool::count_allocs() {
-        rayon::set_num_threads(1);
-        println!();
-        for (entry, r) in zoo().iter().zip(results.iter_mut()) {
-            let allocs = measure_allocs(entry);
-            println!("  {:<32} allocs/iter (steady state): {allocs:.3}", r.name);
-            r.allocs_per_iter = Some(allocs);
-        }
-        rayon::set_num_threads(0);
+    rayon::set_num_threads(1);
+    println!();
+    for (entry, r) in zoo().iter().zip(results.iter_mut()) {
+        let allocs = measure_allocs(entry);
+        println!("  {:<32} allocs/iter (steady state): {allocs:.3}", r.name);
+        r.allocs_per_iter = Some(allocs);
     }
+    rayon::set_num_threads(0);
 
     if emit_json {
         let json = render_json(&results, threads);
@@ -953,11 +951,20 @@ fn main() {
         }
 
         // Perf floor against the committed baseline (noise-tolerant regression check).
-        let floor = mergesfl_nn::env::parsed::<f64>("MERGESFL_PERF_FLOOR")
-            .filter(|f| f.is_finite() && *f > 0.0)
-            .unwrap_or(DEFAULT_PERF_FLOOR);
-        match baseline_speedup {
-            Ok(reference) => {
+        let floor = match mergesfl_nn::env::setting("MERGESFL_PERF_FLOOR") {
+            None => Ok(DEFAULT_PERF_FLOOR),
+            Some(v) => v
+                .parse::<f64>()
+                .ok()
+                .filter(|f| f.is_finite() && *f > 0.0)
+                .ok_or(format!(
+                    "MERGESFL_PERF_FLOOR={v:?} is not a positive number"
+                )),
+        };
+        let baseline =
+            baseline_speedup.map_err(|err| format!("no committed baseline to compare with: {err}"));
+        match (floor, baseline) {
+            (Ok(floor), Ok(reference)) => {
                 let required = floor * reference;
                 if speedup < required {
                     eprintln!(
@@ -973,32 +980,28 @@ fn main() {
                     );
                 }
             }
-            Err(err) => {
-                eprintln!("PERF FLOOR FAILED: no committed baseline to compare with: {err}");
+            (Err(err), _) | (_, Err(err)) => {
+                eprintln!("PERF FLOOR FAILED: {err}");
                 failed = true;
             }
         }
 
         // Allocation gate: every blocked GEMM/conv case and every pool/ReLU case must be
         // allocation-free in steady state when the pool serves checkouts.
-        if mergesfl_nn::pool::count_allocs() && mergesfl_nn::pool::enabled() {
-            let leaky: Vec<&str> = results
-                .iter()
-                .filter(|r| r.allocs_per_iter.is_some_and(|a| a > 0.0))
-                .map(|r| r.name)
-                .collect();
-            if leaky.is_empty() {
-                println!("alloc gate passed: 0 steady-state allocs/iter on all cases");
-            } else {
-                eprintln!(
-                    "ALLOC GATE FAILED: steady-state heap allocations on the blocked \
-                     hot path: {}",
-                    leaky.join(", ")
-                );
-                failed = true;
-            }
+        let leaky: Vec<&str> = results
+            .iter()
+            .filter(|r| r.allocs_per_iter.is_some_and(|a| a > 0.0))
+            .map(|r| r.name)
+            .collect();
+        if leaky.is_empty() {
+            println!("alloc gate passed: 0 steady-state allocs/iter on all cases");
         } else {
-            println!("alloc gate skipped: counting or the tensor pool is disabled");
+            eprintln!(
+                "ALLOC GATE FAILED: steady-state heap allocations on the blocked \
+                 hot path: {}",
+                leaky.join(", ")
+            );
+            failed = true;
         }
 
         if failed {

@@ -32,30 +32,33 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `MERGESFL_SCALE` environment variable; see
-    /// `parse_setting`.
+    /// Reads the scale from the `MERGESFL_SCALE` environment variable. Unset or empty
+    /// means quick; any other value must name a scale, or this panics instead of silently
+    /// running the quick scale.
     pub fn from_env() -> Self {
-        Self::parse_setting(mergesfl_nn::env::var("MERGESFL_SCALE").as_deref())
+        let scales = "quick, standard, paper";
+        mergesfl_nn::env::parsed("MERGESFL_SCALE", scales, Self::from_name).unwrap_or(Self::Quick)
     }
 
-    /// Parses a `MERGESFL_SCALE` setting. Unset or empty means quick; any other value
-    /// must name a scale (`quick`, `standard`, `paper`, ASCII case-insensitive) — a
-    /// mistyped one panics instead of silently running the quick scale.
-    fn parse_setting(setting: Option<&str>) -> Self {
-        let name = setting.unwrap_or_default().trim();
+    /// Parses a scale name (`quick`, `standard`, `paper`, ASCII case-insensitive).
+    fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
-            "" | "quick" => Self::Quick,
-            "standard" => Self::Standard,
-            "paper" => Self::Paper,
-            _ => panic!(
-                "MERGESFL_SCALE={name:?} is not an experiment scale; \
-                 accepted values: quick, standard, paper"
-            ),
+            "quick" => Some(Self::Quick),
+            "standard" => Some(Self::Standard),
+            "paper" => Some(Self::Paper),
+            _ => None,
         }
     }
 
-    /// Builds the run configuration for a dataset and non-IID level at this scale.
+    /// Builds the run configuration for a dataset and non-IID level at this scale, with
+    /// the `MERGESFL_*` run knobs applied (`RunConfig::with_env_overrides`).
     pub fn config(&self, dataset: DatasetKind, non_iid_level: f32, seed: u64) -> RunConfig {
+        self.preset(dataset, non_iid_level, seed)
+            .with_env_overrides()
+    }
+
+    /// This scale's `RunConfig` preset, which reads no environment.
+    fn preset(&self, dataset: DatasetKind, non_iid_level: f32, seed: u64) -> RunConfig {
         match self {
             Self::Quick => RunConfig::quick(dataset, non_iid_level, seed),
             Self::Standard => RunConfig::standard(dataset, non_iid_level, seed),
@@ -244,20 +247,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_setting_parses_names_and_defaults_to_quick() {
-        assert_eq!(Scale::parse_setting(None), Scale::Quick);
-        assert_eq!(Scale::parse_setting(Some(" ")), Scale::Quick);
-        assert_eq!(Scale::parse_setting(Some("quick")), Scale::Quick);
-        assert_eq!(Scale::parse_setting(Some("Standard")), Scale::Standard);
-        assert_eq!(Scale::parse_setting(Some(" PAPER ")), Scale::Paper);
-        let c = Scale::Quick.config(DatasetKind::Har, 0.0, 1);
-        assert!(c.rounds <= 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "accepted values: quick, standard, paper")]
-    fn mistyped_scale_setting_fails_loudly() {
-        Scale::parse_setting(Some("papr"));
+    fn scale_names_parse_case_insensitively() {
+        assert_eq!(Scale::from_name("quick"), Some(Scale::Quick));
+        assert_eq!(Scale::from_name("Standard"), Some(Scale::Standard));
+        assert_eq!(Scale::from_name("PAPER"), Some(Scale::Paper));
+        assert_eq!(Scale::from_name("papr"), None);
     }
 
     #[test]
@@ -281,9 +275,9 @@ mod tests {
 
     #[test]
     fn scales_produce_increasingly_large_configs() {
-        let q = Scale::Quick.config(DatasetKind::Cifar10, 10.0, 1);
-        let s = Scale::Standard.config(DatasetKind::Cifar10, 10.0, 1);
-        let p = Scale::Paper.config(DatasetKind::Cifar10, 10.0, 1);
+        let q = Scale::Quick.preset(DatasetKind::Cifar10, 10.0, 1);
+        let s = Scale::Standard.preset(DatasetKind::Cifar10, 10.0, 1);
+        let p = Scale::Paper.preset(DatasetKind::Cifar10, 10.0, 1);
         assert!(q.rounds < s.rounds && s.rounds < p.rounds);
         assert!(q.num_workers <= s.num_workers && s.num_workers <= p.num_workers);
     }

@@ -2,10 +2,7 @@
 
 pub use crate::sfl::server::ShardTopology;
 use mergesfl_data::DatasetKind;
-/// The blessed environment-read helper: every `MERGESFL_*` knob is documented in
-/// its module docs, and the root `clippy.toml` confines raw `std::env::var` there.
-pub use mergesfl_nn::env;
-use mergesfl_nn::kernels::{parse_micro_kernel_setting, parse_tiling_setting};
+use mergesfl_nn::env::{integer, parsed, setting, switch};
 pub use mergesfl_nn::kernels::{KernelBackend, MicroKernelId, TilingOverride};
 use serde::{Deserialize, Serialize};
 
@@ -52,30 +49,30 @@ pub struct RunConfig {
     /// overlapping iteration `h`'s PS ingress and top-model step — instead of the barrier
     /// sum. A clock schedule only: every round executes the same way either way, so model
     /// trajectories are bit-identical and only the simulated round times (lower when
-    /// pipelined) differ. Both makespans are recorded every round. Constructors honour the
-    /// `MERGESFL_PIPELINE` environment variable (`on`/`off`); barrier is the default.
+    /// pipelined) differ. Both makespans are recorded every round. Barrier is the default;
+    /// `with_env_overrides` reads `MERGESFL_PIPELINE`.
     pub pipeline: bool,
     /// Which compute-kernel backend runs the NN hot path (blocked GEMM/conv panels by default,
     /// or the naive loop-nest oracle). Applied process-wide by `experiment::run`;
-    /// constructors honour the `MERGESFL_KERNELS` environment variable.
+    /// `with_env_overrides` reads `MERGESFL_KERNELS`.
     pub kernel_backend: KernelBackend,
     /// GEMM micro-kernel override: force one of the runtime's kernels (`portable`, `avx`,
     /// `avx512`, `avx512w`) instead of auto-selecting the widest the host supports.
     /// Kernels the host cannot run fall back to portable. Pure performance control — every
-    /// kernel is bit-identical. Applied process-wide by `experiment::run`; constructors honour the
-    /// `MERGESFL_MICROKERNEL` environment variable.
+    /// kernel is bit-identical. Applied process-wide by `experiment::run`;
+    /// `with_env_overrides` reads `MERGESFL_MICROKERNEL`.
     pub micro_kernel: Option<MicroKernelId>,
     /// Tiling-scheme override applied on top of the runtime's per-shape selection for
     /// packed GEMMs: cache partition (`mc`/`kc`/`nc`) and register tile. Pure performance
     /// control — every scheme is bit-identical. Applied process-wide by
-    /// `experiment::run`; constructors honour the `MERGESFL_TILING` environment variable
+    /// `experiment::run`; `with_env_overrides` reads `MERGESFL_TILING`
     /// (`mc=..,kc=..,nc=..,tile=MRxNR`).
     pub tiling: TilingOverride,
     /// Whether tensor storage and kernel scratch check pages out of the size-classed
     /// memory pool (`mergesfl_nn::pool`) instead of allocating. Pooling changes where
     /// buffers live, never their contents — trajectories are bit-identical either way.
-    /// Applied process-wide by `experiment::run`; constructors honour the
-    /// `MERGESFL_TENSOR_POOL` environment variable (`off` disables; default on).
+    /// On by default. Applied process-wide by `experiment::run`; `with_env_overrides`
+    /// reads `MERGESFL_TENSOR_POOL`.
     pub tensor_pool: bool,
     /// Number of parameter-server instances the top model is sharded across. With 1 (the
     /// default) the engine is the single-server loop; with more, the layout is decided by
@@ -83,22 +80,21 @@ pub struct RunConfig {
     /// members routed to them (averaged every [`RunConfig::sync_every`] rounds), while
     /// under output partitioning the count (capped at the class count) only sets the
     /// simulated clock and traffic of one exact top model. Either way the planner budgets
-    /// the cohort against the aggregate `S·B^h` ingress capacity. Constructors honour the
-    /// `MERGESFL_NUM_SERVERS` environment variable.
+    /// the cohort against the aggregate `S·B^h` ingress capacity. `with_env_overrides`
+    /// reads `MERGESFL_NUM_SERVERS`.
     pub num_servers: usize,
     /// Cross-shard synchronisation period in rounds: shard replicas of the top model are
     /// averaged (weighted by samples processed since the last sync) at the end of every
     /// `sync_every`-th round. Irrelevant when `num_servers == 1` or under the
     /// output-partitioned topology (which has no replica state to synchronise).
-    /// Constructors honour the `MERGESFL_SYNC_EVERY` environment variable.
+    /// `with_env_overrides` reads `MERGESFL_SYNC_EVERY`.
     pub sync_every: usize,
     /// How the top model is laid out across the `num_servers` parameter-server instances:
     /// `Replicated` (each shard trains a full replica on its routed uploads, periodically
     /// averaged) or `OutputPartitioned` — a timing and traffic model over one top model:
     /// the trajectory is the single server's, while each instance is charged `1/S` of the
     /// server step plus a per-iteration activation exchange on the server interconnect.
-    /// Constructors honour the `MERGESFL_TOPOLOGY` environment variable (`replicated` /
-    /// `partitioned`; any other non-empty value panics).
+    /// `with_env_overrides` reads `MERGESFL_TOPOLOGY`.
     pub topology: ShardTopology,
     /// Bounded-staleness window `k`: each top-model shard may compute its split-layer
     /// gradients on parameter state up to `k` optimizer steps older than the state the
@@ -106,7 +102,7 @@ pub struct RunConfig {
     /// aggregation and cross-shard sync. `0` (the default) is the synchronous loop and
     /// stays trajectory-bit-identical to the barrier oracle; `k > 0` deliberately breaks
     /// bit-identity and is validated statistically by the `tests/convergence.rs`
-    /// harness. Constructors honour the `MERGESFL_STALENESS` environment variable.
+    /// harness. `with_env_overrides` reads `MERGESFL_STALENESS`.
     pub staleness: usize,
     /// Registered fleet size: how many clients the control plane knows about. `None`
     /// (the default) registers exactly `num_workers` clients — the classic fixed-cohort
@@ -114,159 +110,34 @@ pub struct RunConfig {
     /// `F > num_workers` switches the run onto the event-driven fleet path: `F` clients
     /// share the `num_workers` data shards (client `c` holds shard `c % num_workers`),
     /// per-round memory and planning work scale with the active cohort, and cohort
-    /// members are materialised on demand. Constructors honour the `MERGESFL_FLEET`
-    /// environment variable.
+    /// members are materialised on demand. `with_env_overrides` reads `MERGESFL_FLEET`.
     pub fleet: Option<usize>,
     /// Client availability churn: when on, each registered client's availability follows
     /// a deterministic diurnal wave (per-client phase) and selected clients may drop out
     /// mid-round, feeding the engines' degenerate-cohort handling. Off by default — and
     /// off is a hard no-op, preserving bit-identity with pre-churn trajectories.
-    /// Constructors honour the `MERGESFL_CHURN` environment variable (`on`/`off`).
+    /// `with_env_overrides` reads `MERGESFL_CHURN`.
     pub churn: bool,
-    /// Diurnal availability-wave period in rounds. Constructors honour
-    /// `MERGESFL_CHURN_PERIOD`.
+    /// Diurnal availability-wave period in rounds (48 by default).
     pub churn_period: usize,
-    /// Floor of the availability probability (the wave's trough), in (0, 1].
-    /// Constructors honour `MERGESFL_CHURN_MIN_AVAIL`.
+    /// Floor of the availability probability (the wave's trough), in (0, 1] (0.6 by
+    /// default).
     pub churn_min_availability: f64,
-    /// Probability that a selected client drops out mid-round, in [0, 1). Constructors
-    /// honour `MERGESFL_CHURN_DROPOUT`.
+    /// Probability that a selected client drops out mid-round, in [0, 1) (0.05 by
+    /// default).
     pub churn_dropout: f64,
-}
-
-/// Reads the clock-schedule default from the `MERGESFL_PIPELINE` environment variable;
-/// see `parse_pipeline_setting`.
-pub fn pipeline_from_env() -> bool {
-    parse_pipeline_setting(env::var("MERGESFL_PIPELINE").as_deref())
-}
-
-/// Parses a `MERGESFL_PIPELINE` setting. Unset or empty means the barrier schedule;
-/// `on`/`1`/`true` select the pipelined one and `off`/`0`/`false` the barrier one (ASCII
-/// case-insensitive) — any other value panics instead of silently meaning barrier.
-fn parse_pipeline_setting(setting: Option<&str>) -> bool {
-    let Some(raw) = setting.map(str::trim) else {
-        return false;
-    };
-    match raw.to_ascii_lowercase().as_str() {
-        "" | "off" | "0" | "false" => false,
-        "on" | "1" | "true" => true,
-        _ => panic!(
-            "MERGESFL_PIPELINE={raw:?} is not a clock schedule; \
-             accepted values: on, 1, true, off, 0, false"
-        ),
-    }
-}
-
-/// Reads the tensor-pool toggle from the `MERGESFL_TENSOR_POOL` environment variable;
-/// the pool is on by default and `off`/`0`/`false` disables it (every checkout then
-/// falls through to the heap — the bit-identical baseline the determinism tests
-/// compare against).
-pub fn tensor_pool_from_env() -> bool {
-    !env::flag_off("MERGESFL_TENSOR_POOL")
-}
-
-/// Reads the top-model shard count from the `MERGESFL_NUM_SERVERS` environment variable;
-/// unset, empty or unparsable values keep the single-server default of 1.
-pub fn num_servers_from_env() -> usize {
-    env::parsed::<usize>("MERGESFL_NUM_SERVERS")
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Reads the cross-shard sync period from the `MERGESFL_SYNC_EVERY` environment variable;
-/// unset, empty or unparsable values sync every round.
-pub fn sync_every_from_env() -> usize {
-    env::parsed::<usize>("MERGESFL_SYNC_EVERY")
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Reads the bounded-staleness window from the `MERGESFL_STALENESS` environment variable;
-/// unset, empty or unparsable values keep the synchronous default of 0.
-pub fn staleness_from_env() -> usize {
-    env::parsed::<usize>("MERGESFL_STALENESS").unwrap_or(0)
-}
-
-/// Reads the registered-fleet size from the `MERGESFL_FLEET` environment variable;
-/// unset, empty, zero or unparsable values keep the classic `None` (fleet == workers).
-pub fn fleet_from_env() -> Option<usize> {
-    env::parsed::<usize>("MERGESFL_FLEET").filter(|&n| n >= 1)
-}
-
-/// Reads the availability-churn toggle from the `MERGESFL_CHURN` environment variable:
-/// `on`/`1`/`true` enable it, anything else (or unset) keeps churn off.
-pub fn churn_from_env() -> bool {
-    env::flag_on("MERGESFL_CHURN")
-}
-
-/// Reads the churn wave period (rounds) from `MERGESFL_CHURN_PERIOD`; unset, empty,
-/// zero or unparsable values keep the default of 48 rounds per cycle.
-pub fn churn_period_from_env() -> usize {
-    env::parsed::<usize>("MERGESFL_CHURN_PERIOD")
-        .filter(|&n| n >= 1)
-        .unwrap_or(48)
-}
-
-/// Reads the availability floor from `MERGESFL_CHURN_MIN_AVAIL`; values outside (0, 1]
-/// (or unset/unparsable) keep the default floor of 0.6.
-pub fn churn_min_availability_from_env() -> f64 {
-    env::parsed::<f64>("MERGESFL_CHURN_MIN_AVAIL")
-        .filter(|&v| v > 0.0 && v <= 1.0)
-        .unwrap_or(0.6)
-}
-
-/// Reads the mid-round dropout probability from `MERGESFL_CHURN_DROPOUT`; values outside
-/// [0, 1) (or unset/unparsable) keep the default of 0.05.
-pub fn churn_dropout_from_env() -> f64 {
-    env::parsed::<f64>("MERGESFL_CHURN_DROPOUT")
-        .filter(|&v| (0.0..1.0).contains(&v))
-        .unwrap_or(0.05)
-}
-
-/// Reads the GEMM micro-kernel override from the `MERGESFL_MICROKERNEL` environment
-/// variable; see `mergesfl_nn::kernels::parse_micro_kernel_setting` (a mistyped kernel
-/// name panics).
-pub fn micro_kernel_from_env() -> Option<MicroKernelId> {
-    parse_micro_kernel_setting(mergesfl_nn::env::var("MERGESFL_MICROKERNEL").as_deref())
-}
-
-/// Reads the tiling-scheme override from the `MERGESFL_TILING` environment variable; see
-/// `mergesfl_nn::kernels::parse_tiling_setting` (a malformed spec panics).
-pub fn tiling_from_env() -> TilingOverride {
-    parse_tiling_setting(mergesfl_nn::env::var("MERGESFL_TILING").as_deref())
-}
-
-/// Reads the server topology from the `MERGESFL_TOPOLOGY` environment variable; see
-/// `parse_topology_setting`.
-pub fn topology_from_env() -> ShardTopology {
-    parse_topology_setting(mergesfl_nn::env::var("MERGESFL_TOPOLOGY").as_deref())
-}
-
-/// Parses a `MERGESFL_TOPOLOGY` setting. Unset or empty means replicated; any other value
-/// must name a topology (`replicated`, `partitioned` / `output-partitioned`) — a mistyped
-/// one panics instead of silently running the default layout.
-fn parse_topology_setting(setting: Option<&str>) -> ShardTopology {
-    match setting.map(str::trim) {
-        None | Some("") => ShardTopology::default(),
-        Some(name) => ShardTopology::parse(name).unwrap_or_else(|| {
-            panic!(
-                "MERGESFL_TOPOLOGY={name:?} is not a server topology; \
-                 accepted values: replicated, partitioned, output-partitioned"
-            )
-        }),
-    }
 }
 
 impl RunConfig {
     /// Full-scale configuration mirroring the paper's setup for a dataset (80 workers and
     /// the paper's round budget). Heavy — intended for the figure-regeneration binaries.
+    /// Every knob below the seed is at its documented default; the presets read nothing.
     pub fn paper(dataset: DatasetKind, non_iid_level: f32, seed: u64) -> Self {
-        let spec = dataset.spec();
         Self {
             dataset,
             non_iid_level,
             num_workers: 80,
-            rounds: spec.paper_rounds,
+            rounds: dataset.spec().paper_rounds,
             local_iterations: None,
             max_batch: 32,
             uniform_batch: 16,
@@ -279,20 +150,20 @@ impl RunConfig {
             seed,
             estimate_alpha: 0.8,
             parallel: true,
-            pipeline: pipeline_from_env(),
-            kernel_backend: KernelBackend::from_env(),
-            micro_kernel: micro_kernel_from_env(),
-            tiling: tiling_from_env(),
-            tensor_pool: tensor_pool_from_env(),
-            num_servers: num_servers_from_env(),
-            sync_every: sync_every_from_env(),
-            topology: topology_from_env(),
-            staleness: staleness_from_env(),
-            fleet: fleet_from_env(),
-            churn: churn_from_env(),
-            churn_period: churn_period_from_env(),
-            churn_min_availability: churn_min_availability_from_env(),
-            churn_dropout: churn_dropout_from_env(),
+            pipeline: false,
+            kernel_backend: KernelBackend::Blocked,
+            micro_kernel: None,
+            tiling: TilingOverride::default(),
+            tensor_pool: true,
+            num_servers: 1,
+            sync_every: 1,
+            topology: ShardTopology::Replicated,
+            staleness: 0,
+            fleet: None,
+            churn: false,
+            churn_period: 48,
+            churn_min_availability: 0.6,
+            churn_dropout: 0.05,
         }
     }
 
@@ -301,36 +172,17 @@ impl RunConfig {
     /// default bench binaries, the examples and the integration tests.
     pub fn quick(dataset: DatasetKind, non_iid_level: f32, seed: u64) -> Self {
         Self {
-            dataset,
-            non_iid_level,
             num_workers: 20,
             rounds: 12,
             local_iterations: Some(4),
             max_batch: 16,
             uniform_batch: 8,
             participants_per_round: 6,
-            kl_epsilon: 0.05,
             ps_ingress_mean_mbps: 150.0,
             eval_every: 2,
             eval_samples: 200,
             train_size: Some(1200),
-            seed,
-            estimate_alpha: 0.8,
-            parallel: true,
-            pipeline: pipeline_from_env(),
-            kernel_backend: KernelBackend::from_env(),
-            micro_kernel: micro_kernel_from_env(),
-            tiling: tiling_from_env(),
-            tensor_pool: tensor_pool_from_env(),
-            num_servers: num_servers_from_env(),
-            sync_every: sync_every_from_env(),
-            topology: topology_from_env(),
-            staleness: staleness_from_env(),
-            fleet: fleet_from_env(),
-            churn: churn_from_env(),
-            churn_period: churn_period_from_env(),
-            churn_min_availability: churn_min_availability_from_env(),
-            churn_dropout: churn_dropout_from_env(),
+            ..Self::paper(dataset, non_iid_level, seed)
         }
     }
 
@@ -338,37 +190,48 @@ impl RunConfig {
     /// the figure-regeneration binaries by default.
     pub fn standard(dataset: DatasetKind, non_iid_level: f32, seed: u64) -> Self {
         Self {
-            dataset,
-            non_iid_level,
             num_workers: 40,
             rounds: 30,
             local_iterations: Some(6),
             max_batch: 24,
             uniform_batch: 12,
             participants_per_round: 8,
-            kl_epsilon: 0.05,
             ps_ingress_mean_mbps: 200.0,
             eval_every: 3,
             eval_samples: 300,
             train_size: Some(2000),
-            seed,
-            estimate_alpha: 0.8,
-            parallel: true,
-            pipeline: pipeline_from_env(),
-            kernel_backend: KernelBackend::from_env(),
-            micro_kernel: micro_kernel_from_env(),
-            tiling: tiling_from_env(),
-            tensor_pool: tensor_pool_from_env(),
-            num_servers: num_servers_from_env(),
-            sync_every: sync_every_from_env(),
-            topology: topology_from_env(),
-            staleness: staleness_from_env(),
-            fleet: fleet_from_env(),
-            churn: churn_from_env(),
-            churn_period: churn_period_from_env(),
-            churn_min_availability: churn_min_availability_from_env(),
-            churn_dropout: churn_dropout_from_env(),
+            ..Self::paper(dataset, non_iid_level, seed)
         }
+    }
+
+    /// Applies the `MERGESFL_*` run knobs (the table in `mergesfl_nn::env`) on top of a
+    /// preset: the one place a run configuration reads the environment, called only by
+    /// the figure binaries and the examples. An unset or empty knob keeps its field; any
+    /// other value must parse, or this panics naming the knob and its accepted values.
+    pub fn with_env_overrides(mut self) -> Self {
+        let c = &mut self;
+        c.pipeline = switch("MERGESFL_PIPELINE").unwrap_or(c.pipeline);
+        c.tensor_pool = switch("MERGESFL_TENSOR_POOL").unwrap_or(c.tensor_pool);
+        c.churn = switch("MERGESFL_CHURN").unwrap_or(c.churn);
+        c.num_servers = integer("MERGESFL_NUM_SERVERS", 1).unwrap_or(c.num_servers);
+        c.sync_every = integer("MERGESFL_SYNC_EVERY", 1).unwrap_or(c.sync_every);
+        c.staleness = integer("MERGESFL_STALENESS", 0).unwrap_or(c.staleness);
+        c.fleet = integer("MERGESFL_FLEET", 1).or(c.fleet);
+        let backends = "blocked, naive";
+        let backend = parsed("MERGESFL_KERNELS", backends, KernelBackend::from_name);
+        c.kernel_backend = backend.unwrap_or(c.kernel_backend);
+        let micros = "portable, avx, avx512, avx512w";
+        let micro = parsed("MERGESFL_MICROKERNEL", micros, MicroKernelId::from_name);
+        c.micro_kernel = micro.or(c.micro_kernel);
+        let topologies = "replicated, partitioned, output-partitioned";
+        let topology = parsed("MERGESFL_TOPOLOGY", topologies, ShardTopology::parse);
+        c.topology = topology.unwrap_or(c.topology);
+        if let Some(spec) = setting("MERGESFL_TILING") {
+            c.tiling = TilingOverride::parse(&spec).unwrap_or_else(|msg| {
+                panic!("{msg}; accepted: comma-separated mc=N, kc=N, nc=N, tile=MRxNR")
+            });
+        }
+        self
     }
 
     /// Effective local updating frequency τ for this run.
@@ -466,6 +329,33 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mergesfl_nn::kernels::ALL_MICRO_KERNELS;
+    use std::panic::{catch_unwind, UnwindSafe};
+    use std::sync::Mutex;
+
+    /// Environment variables are process-global; the tests that export knobs take turns.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Runs `read` with the `KNOB=value` pairs of `line` exported, then removes them, also
+    /// when `read` panics.
+    fn exported<T>(line: &str, read: impl FnOnce() -> T + UnwindSafe) -> T {
+        let _lock = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let knobs: Vec<_> = line
+            .split(' ')
+            .filter_map(|kv| kv.split_once('='))
+            .collect();
+        knobs.iter().for_each(|(k, v)| std::env::set_var(k, v));
+        let result = catch_unwind(read);
+        knobs.iter().for_each(|(k, _)| std::env::remove_var(k));
+        result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// `quick` with the knobs of `line` exported while the overlay reads them.
+    fn overlay(line: &str) -> RunConfig {
+        exported(line, || {
+            RunConfig::quick(DatasetKind::Har, 0.0, 1).with_env_overrides()
+        })
+    }
 
     #[test]
     fn paper_config_uses_paper_round_budget() {
@@ -504,11 +394,11 @@ mod tests {
 
     #[test]
     fn server_topology_defaults_are_single_server_every_round() {
-        // The test environment may pin MERGESFL_NUM_SERVERS/MERGESFL_SYNC_EVERY (the CI
-        // matrix does); only assert the explicit single-shard setting validates and that
-        // a multi-shard one does too.
+        let c = RunConfig::quick(DatasetKind::Har, 0.0, 1);
+        assert_eq!((c.num_servers, c.sync_every), (1, 1));
+        assert_eq!(c.topology, ShardTopology::Replicated);
         for (servers, sync) in [(1, 1), (4, 1), (4, 3)] {
-            let mut c = RunConfig::quick(DatasetKind::Har, 0.0, 1);
+            let mut c = c.clone();
             c.num_servers = servers;
             c.sync_every = sync;
             c.validate();
@@ -517,9 +407,7 @@ mod tests {
 
     #[test]
     fn any_staleness_window_validates() {
-        // The test environment may pin MERGESFL_STALENESS (the CI matrix does); assert
-        // explicit settings across the harness's sweep validate, including the
-        // synchronous default.
+        assert_eq!(RunConfig::quick(DatasetKind::Har, 0.0, 1).staleness, 0);
         for k in [0, 1, 2, 4, 16] {
             let mut c = RunConfig::quick(DatasetKind::Har, 0.0, 1);
             c.staleness = k;
@@ -528,47 +416,70 @@ mod tests {
     }
 
     #[test]
-    fn topology_setting_parses_the_accepted_names() {
-        assert_eq!(parse_topology_setting(None), ShardTopology::Replicated);
-        assert_eq!(parse_topology_setting(Some("")), ShardTopology::Replicated);
-        assert_eq!(
-            parse_topology_setting(Some("replicated")),
-            ShardTopology::Replicated
-        );
-        assert_eq!(
-            parse_topology_setting(Some("partitioned")),
-            ShardTopology::OutputPartitioned
-        );
-        assert_eq!(
-            parse_topology_setting(Some("output-partitioned")),
-            ShardTopology::OutputPartitioned
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "accepted values: replicated, partitioned, output-partitioned")]
-    fn mistyped_topology_setting_fails_loudly() {
-        parse_topology_setting(Some("partitoned"));
-    }
-
-    #[test]
-    fn pipeline_setting_parses_the_accepted_values() {
-        assert!(!parse_pipeline_setting(None));
-        assert!(!parse_pipeline_setting(Some("")));
-        for on in ["on", "1", "true", "ON", "True", " on "] {
-            assert!(parse_pipeline_setting(Some(on)), "{on:?}");
+    fn named_knobs_read_unset_empty_and_every_accepted_name() {
+        let preset = format!("{:?}", RunConfig::quick(DatasetKind::Har, 0.0, 1));
+        for unset_or_empty in ["", "MERGESFL_KERNELS= MERGESFL_TILING= MERGESFL_TOPOLOGY="] {
+            assert_eq!(format!("{:?}", overlay(unset_or_empty)), preset);
         }
-        for off in ["off", "0", "false", "OFF", "False"] {
-            assert!(!parse_pipeline_setting(Some(off)), "{off:?}");
+        for backend in [KernelBackend::Blocked, KernelBackend::Naive] {
+            let name = backend.name().to_uppercase();
+            let c = overlay(&format!("MERGESFL_KERNELS={name}"));
+            assert_eq!(c.kernel_backend, backend);
+        }
+        for id in ALL_MICRO_KERNELS {
+            let name = id.name().to_uppercase();
+            let c = overlay(&format!("MERGESFL_MICROKERNEL={name}"));
+            assert_eq!(c.micro_kernel, Some(id));
+        }
+        for (name, want) in [
+            ("replicated", ShardTopology::Replicated),
+            ("partitioned", ShardTopology::OutputPartitioned),
+            ("output-partitioned", ShardTopology::OutputPartitioned),
+        ] {
+            let c = overlay(&format!("MERGESFL_TOPOLOGY={name}"));
+            assert_eq!(c.topology, want);
+        }
+        let tiling = overlay("MERGESFL_TILING=mc=96,tile=16x8").tiling;
+        assert_eq!(tiling, TilingOverride::parse("mc=96,tile=16x8").unwrap());
+    }
+
+    #[test]
+    fn a_bad_knob_value_panics_naming_the_knob() {
+        let bad = "MERGESFL_STALENESS=two MERGESFL_NUM_SERVERS=0 MERGESFL_SYNC_EVERY=x \
+                   MERGESFL_FLEET=-1 MERGESFL_CHURN=yes MERGESFL_TENSOR_POOL=of \
+                   MERGESFL_KERNELS=naiv MERGESFL_MICROKERNEL=avx2 MERGESFL_PIPELINE=yes \
+                   MERGESFL_TOPOLOGY=partitoned MERGESFL_TILING=mc=96,stages=1";
+        for knob in bad.split(' ') {
+            let panic = catch_unwind(|| overlay(knob)).expect_err(knob);
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            let (name, _) = knob.split_once('=').unwrap();
+            assert!(message.starts_with(name), "{message}");
         }
     }
 
     #[test]
-    #[should_panic(
-        expected = "MERGESFL_PIPELINE=\"yes\" is not a clock schedule; accepted values: on, 1, true, off, 0, false"
-    )]
-    fn mistyped_pipeline_setting_fails_loudly() {
-        parse_pipeline_setting(Some("yes"));
+    fn presets_read_nothing_and_the_overlay_moves_every_run_knob() {
+        let preset = format!("{:?}", RunConfig::quick(DatasetKind::Har, 0.0, 1));
+        let every_knob = "MERGESFL_PIPELINE=on MERGESFL_KERNELS=naive \
+                          MERGESFL_MICROKERNEL=portable MERGESFL_TILING=mc=64 \
+                          MERGESFL_TENSOR_POOL=off MERGESFL_NUM_SERVERS=4 MERGESFL_SYNC_EVERY=2 \
+                          MERGESFL_STALENESS=3 MERGESFL_TOPOLOGY=partitioned \
+                          MERGESFL_FLEET=1000 MERGESFL_CHURN=on";
+        let (quick, c) = exported(every_knob, || {
+            let quick = RunConfig::quick(DatasetKind::Har, 0.0, 1);
+            (format!("{quick:?}"), quick.with_env_overrides())
+        });
+        assert_eq!(quick, preset, "a preset read the environment");
+        assert!(c.pipeline && !c.tensor_pool && c.churn);
+        assert_eq!(c.kernel_backend, KernelBackend::Naive);
+        assert_eq!(c.micro_kernel, Some(MicroKernelId::Portable));
+        assert_eq!(c.tiling.mc, Some(64));
+        assert_eq!((c.num_servers, c.sync_every, c.staleness), (4, 2, 3));
+        assert_eq!(
+            (c.topology, c.fleet),
+            (ShardTopology::OutputPartitioned, Some(1000))
+        );
+        c.validate();
     }
 
     #[test]
@@ -581,11 +492,8 @@ mod tests {
 
     #[test]
     fn fleet_defaults_are_the_classic_regime() {
-        // The test environment may pin MERGESFL_FLEET/MERGESFL_CHURN (the CI fleet cell
-        // does); assert on explicit settings, not on what the constructor read.
         let mut c = RunConfig::quick(DatasetKind::Har, 0.0, 1);
-        c.fleet = None;
-        c.churn = false;
+        assert_eq!((c.fleet, c.churn), (None, false));
         assert_eq!(c.fleet_size(), c.num_workers);
         assert!(!c.fleet_mode());
         assert!(!c.churn_model().enabled());

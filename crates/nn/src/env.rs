@@ -11,26 +11,29 @@
 //!    audit; hot-path callers must still cache the result (`OnceLock`, atomics),
 //!    never call [`var`] per iteration.
 //! 2. **Discoverability.** Scattered reads mean no one can enumerate the knobs.
-//!    The table below is the authoritative list; adding a knob means adding a row.
+//!    The table below is the authoritative list; adding a knob means adding a row
+//!    (`tests/knobs.rs` holds the table to the code, README.md and CI).
+//!
+//! The eleven run knobs are read in one place, `RunConfig::with_env_overrides`
+//! (`mergesfl::config`), which only the figure binaries and the examples call: the
+//! presets, the libraries, the tests and the benchmark read nothing. An unset or empty
+//! knob keeps the preset's value; any other value must parse ([`switch`], [`integer`],
+//! [`parsed`]) or the run panics naming the knob and the values it accepts.
 //!
 //! | Variable | Read by | Meaning |
 //! |---|---|---|
-//! | `MERGESFL_PIPELINE` | `mergesfl::config` | simulated-clock schedule: `on`/`1`/`true` charges the pipelined makespan, `off`/`0`/`false` (default; also when unset or empty) the barrier one; any other value panics. Execution and trajectories are the same either way |
-//! | `MERGESFL_KERNELS` | `mergesfl_nn::kernels` | `naive` selects the oracle backend (default: blocked) |
-//! | `MERGESFL_MICROKERNEL` | `mergesfl_nn::kernels::runtime`, `mergesfl::config` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default, also when unset or empty: widest available); any other value panics |
-//! | `MERGESFL_TILING` | `mergesfl_nn::kernels::runtime`, `mergesfl::config` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,tile=MRxNR` (any subset; default, also when unset or empty: per-shape selection); an unknown key or a malformed value panics, and `stages=1` is accepted and changes nothing |
-//! | `MERGESFL_TENSOR_POOL` | `mergesfl::config`, `mergesfl_nn::pool` | `off`/`0`/`false` disables pooled tensor memory |
-//! | `MERGESFL_COUNT_ALLOCS` | `mergesfl_nn::pool` | `1`/`on`/`true` enables the counting global allocator |
-//! | `MERGESFL_NUM_SERVERS` | `mergesfl::config` | number of top-model shards (integer ≥ 1) |
-//! | `MERGESFL_SYNC_EVERY` | `mergesfl::config` | rounds between full synchronisations |
-//! | `MERGESFL_STALENESS` | `mergesfl::config` | bounded-staleness window (0 = fully synchronous) |
-//! | `MERGESFL_TOPOLOGY` | `mergesfl::config` | server-shard topology: `replicated` (default; also when unset or empty) or `partitioned` / `output-partitioned`; any other value panics |
-//! | `MERGESFL_FLEET` | `mergesfl::config` | registered fleet size (integer ≥ num_workers; unset = classic dense regime) |
-//! | `MERGESFL_CHURN` | `mergesfl::config` | `on`/`1`/`true` enables availability churn |
-//! | `MERGESFL_CHURN_PERIOD` | `mergesfl::config` | diurnal availability-wave period in rounds (default 48) |
-//! | `MERGESFL_CHURN_MIN_AVAIL` | `mergesfl::config` | availability floor in (0, 1] (default 0.6) |
-//! | `MERGESFL_CHURN_DROPOUT` | `mergesfl::config` | mid-round dropout probability in [0, 1) (default 0.05) |
-//! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (default 0.70) |
+//! | `MERGESFL_PIPELINE` | `RunConfig::with_env_overrides` | simulated-clock schedule: `on` charges the pipelined makespan, `off` (default) the barrier one. Execution and trajectories are the same either way |
+//! | `MERGESFL_KERNELS` | `RunConfig::with_env_overrides` | compute backend: `blocked` (default) or `naive` (the oracle) |
+//! | `MERGESFL_MICROKERNEL` | `RunConfig::with_env_overrides` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available) |
+//! | `MERGESFL_TILING` | `RunConfig::with_env_overrides` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,tile=MRxNR` (any subset; default: per-shape selection); an unknown key or a malformed value panics |
+//! | `MERGESFL_TENSOR_POOL` | `RunConfig::with_env_overrides` | pooled tensor memory: `on` (default) or `off` |
+//! | `MERGESFL_NUM_SERVERS` | `RunConfig::with_env_overrides` | number of top-model shards (integer ≥ 1, default 1) |
+//! | `MERGESFL_SYNC_EVERY` | `RunConfig::with_env_overrides` | rounds between cross-shard synchronisations (integer ≥ 1, default 1) |
+//! | `MERGESFL_STALENESS` | `RunConfig::with_env_overrides` | bounded-staleness window (integer ≥ 0; default 0 = fully synchronous) |
+//! | `MERGESFL_TOPOLOGY` | `RunConfig::with_env_overrides` | server-shard topology: `replicated` (default) or `partitioned` / `output-partitioned` |
+//! | `MERGESFL_FLEET` | `RunConfig::with_env_overrides` | registered fleet size (integer ≥ num_workers; default: the classic dense regime) |
+//! | `MERGESFL_CHURN` | `RunConfig::with_env_overrides` | availability churn: `on` or `off` (default) |
+//! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (positive number, default 0.70); any other value fails `--check` |
 //! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default; also when unset or empty) / `standard` / `paper`; any other value panics |
 //! | `MERGESFL_JSON` | `mergesfl_bench` | `1` switches bench output to JSON lines |
 //! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter over `har`, `speech`, `cifar10` / `cifar`, `image100` / `image` (default: all four); any other token panics |
@@ -48,75 +51,89 @@ pub fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Whether `name` is explicitly switched **on**: set to `1`, `on` or `true`
-/// (ASCII case-insensitive). Unset or anything else reads as off.
-pub fn flag_on(name: &str) -> bool {
-    var(name).is_some_and(|v| {
-        v.eq_ignore_ascii_case("1")
-            || v.eq_ignore_ascii_case("on")
-            || v.eq_ignore_ascii_case("true")
+/// The trimmed value of `knob`; `None` when it is unset or empty, so the caller keeps
+/// its default.
+pub fn setting(knob: &str) -> Option<String> {
+    let value = var(knob)?.trim().to_owned();
+    (!value.is_empty()).then_some(value)
+}
+
+/// A set `knob` read through `parse`. A value `parse` rejects panics naming the knob and
+/// the `accepted` values, instead of silently meaning the default.
+pub fn parsed<T>(knob: &str, accepted: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    let value = setting(knob)?;
+    let reject = || panic!("{knob}={value:?} is not a valid setting; accepted values: {accepted}");
+    Some(parse(&value).unwrap_or_else(reject))
+}
+
+/// An on/off knob: `on`/`1`/`true` or `off`/`0`/`false`, ASCII case-insensitive.
+pub fn switch(knob: &str) -> Option<bool> {
+    parsed(knob, "on, 1, true, off, 0, false", |v| {
+        match v.to_ascii_lowercase().as_str() {
+            "on" | "1" | "true" => Some(true),
+            "off" | "0" | "false" => Some(false),
+            _ => None,
+        }
     })
 }
 
-/// Whether `name` is explicitly switched **off**: set to `0`, `off` or `false`
-/// (ASCII case-insensitive). Unset or anything else reads as "not disabled", so
-/// features that default to on stay on.
-pub fn flag_off(name: &str) -> bool {
-    var(name).is_some_and(|v| {
-        v.eq_ignore_ascii_case("0")
-            || v.eq_ignore_ascii_case("off")
-            || v.eq_ignore_ascii_case("false")
-    })
-}
-
-/// Reads and parses `name` (whitespace-trimmed); `None` when unset, unparsable,
-/// or not valid Unicode.
-pub fn parsed<T: std::str::FromStr>(name: &str) -> Option<T> {
-    var(name).and_then(|v| v.trim().parse().ok())
+/// An integer knob of at least `min`.
+pub fn integer(knob: &str, min: usize) -> Option<usize> {
+    let accepted = format!("an integer >= {min}");
+    parsed(knob, &accepted, |v| v.parse().ok().filter(|&n| n >= min))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::Mutex;
 
     /// Env vars are process-global; serialise the tests that mutate them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    static LOCK: Mutex<()> = Mutex::new(());
+
+    /// Reads `knob` through `read` with it set to each of `values` in turn.
+    fn read_each<T>(knob: &str, values: &[&str], read: impl Fn() -> T) -> Vec<T> {
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let read = values.iter().map(|value| {
+            std::env::set_var(knob, value);
+            read()
+        });
+        let values = read.collect();
+        std::env::remove_var(knob);
+        values
     }
 
     #[test]
-    fn var_and_parsed_round_trip() {
-        let _guard = lock();
-        std::env::set_var("MERGESFL_ENV_TEST_A", " 42 ");
-        assert_eq!(var("MERGESFL_ENV_TEST_A").as_deref(), Some(" 42 "));
-        assert_eq!(parsed::<usize>("MERGESFL_ENV_TEST_A"), Some(42));
-        std::env::remove_var("MERGESFL_ENV_TEST_A");
-        assert_eq!(var("MERGESFL_ENV_TEST_A"), None);
-        assert_eq!(parsed::<usize>("MERGESFL_ENV_TEST_A"), None);
+    fn unset_and_empty_knobs_keep_the_default() {
+        let knob = "MERGESFL_ENV_TEST_A";
+        let read = || (setting(knob), switch(knob), integer(knob, 1));
+        assert_eq!(read(), (None, None, None));
+        assert_eq!(
+            read_each(knob, &["", " "], read),
+            [(None, None, None), (None, None, None)]
+        );
     }
 
     #[test]
-    fn flags_are_case_insensitive_and_default_closed() {
-        let _guard = lock();
-        for v in ["1", "ON", "true"] {
-            std::env::set_var("MERGESFL_ENV_TEST_B", v);
-            assert!(flag_on("MERGESFL_ENV_TEST_B"), "{v}");
-            assert!(!flag_off("MERGESFL_ENV_TEST_B"), "{v}");
-        }
-        for v in ["0", "off", "False"] {
-            std::env::set_var("MERGESFL_ENV_TEST_B", v);
-            assert!(flag_off("MERGESFL_ENV_TEST_B"), "{v}");
-            assert!(!flag_on("MERGESFL_ENV_TEST_B"), "{v}");
-        }
-        std::env::set_var("MERGESFL_ENV_TEST_B", "banana");
-        assert!(!flag_on("MERGESFL_ENV_TEST_B"));
-        assert!(!flag_off("MERGESFL_ENV_TEST_B"));
-        std::env::remove_var("MERGESFL_ENV_TEST_B");
-        assert!(!flag_on("MERGESFL_ENV_TEST_B"));
-        assert!(!flag_off("MERGESFL_ENV_TEST_B"));
+    fn every_accepted_spelling_parses() {
+        let knob = "MERGESFL_ENV_TEST_B";
+        let trimmed = read_each(knob, &[" x "], || setting(knob));
+        assert_eq!(trimmed, [Some("x".to_owned())]);
+        let on = ["on", "1", "true", "ON", " True "];
+        assert_eq!(read_each(knob, &on, || switch(knob)), [Some(true); 5]);
+        let off = ["off", "0", "false", "OFF", "False"];
+        assert_eq!(read_each(knob, &off, || switch(knob)), [Some(false); 5]);
+        assert_eq!(read_each(knob, &["0"], || integer(knob, 0)), [Some(0)]);
+        let at_least_one = read_each(knob, &["1", " 16"], || integer(knob, 1));
+        assert_eq!(at_least_one, [Some(1), Some(16)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MERGESFL_ENV_TEST_C=\"0\" is not a valid setting; \
+                               accepted values: an integer >= 1")]
+    fn a_value_below_the_minimum_panics_naming_the_knob() {
+        // The variable outlives the panic; no other test reads it.
+        let knob = "MERGESFL_ENV_TEST_C";
+        read_each(knob, &["0"], || integer(knob, 1));
     }
 }

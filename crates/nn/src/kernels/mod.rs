@@ -28,10 +28,10 @@
 //!
 //! The process-wide default backend is read by [`crate::Tensor::matmul`] and every layer at
 //! call time; it is selected through [`set_default_backend`] (plumbed from
-//! `mergesfl::config::RunConfig::kernel_backend`) or the `MERGESFL_KERNELS` environment
-//! variable (`naive` / `blocked`). Plans can be steered without changing results via
-//! `MERGESFL_MICROKERNEL` (force a micro-kernel) and `MERGESFL_TILING` (adjust packed
-//! schemes) — see [`crate::env`] for the knob table.
+//! `mergesfl::config::RunConfig::kernel_backend`). Plans can be steered without changing
+//! results via [`set_micro_override`] (force a micro-kernel) and [`set_tiling_override`]
+//! (adjust packed schemes), plumbed from `RunConfig::{micro_kernel, tiling}`; nothing in
+//! this crate reads the environment for them.
 
 pub mod conv;
 pub mod gemm;
@@ -43,8 +43,8 @@ pub mod tiling;
 pub use gemm::{gemm_cfg, gemm_nn, gemm_nt, gemm_tn, gemm_with_scheme, Epilogue, Trans};
 pub use micro::{MicroKernelId, MicroSelect, ALL_MICRO_KERNELS};
 pub use runtime::{
-    parse_micro_kernel_setting, parse_tiling_setting, plan, reset_stage_stats, set_micro_override,
-    set_tiling_override, stage_stats, GemmPlan, StageStats,
+    plan, reset_stage_stats, set_micro_override, set_tiling_override, stage_stats, GemmPlan,
+    StageStats,
 };
 pub use tiling::{PartitionSize, Staging, TileSize, TilingOverride, TilingScheme};
 
@@ -69,14 +69,11 @@ impl KernelBackend {
         }
     }
 
-    /// Reads the backend from the `MERGESFL_KERNELS` environment variable.
-    ///
-    /// Unset or unrecognised values select [`KernelBackend::Blocked`].
-    pub fn from_env() -> Self {
-        match crate::env::var("MERGESFL_KERNELS") {
-            Some(v) if v.eq_ignore_ascii_case("naive") => Self::Naive,
-            _ => Self::Blocked,
-        }
+    /// Parses a backend name (`naive` / `blocked`, ASCII case-insensitive).
+    pub fn from_name(name: &str) -> Option<Self> {
+        [Self::Naive, Self::Blocked]
+            .into_iter()
+            .find(|b| name.eq_ignore_ascii_case(b.name()))
     }
 }
 

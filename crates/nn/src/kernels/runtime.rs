@@ -28,16 +28,13 @@
 //!    scheme ([`panel_scheme`]) — on the 8-lane tile instead of the 16-lane
 //!    one when the product has at most eight lanes to fill.
 //!
-//! Two knobs adjust the plan (env or `RunConfig`): `MERGESFL_MICROKERNEL`
-//! (`portable`/`avx`/`avx512`/`avx512w` — kernels the host lacks degrade to
-//! portable) and `MERGESFL_TILING` (`mc=..,kc=..,nc=..,tile=MRxNR`, applied on
-//! top of selection for packed schemes). Each is parsed by one function
-//! ([`parse_micro_kernel_setting`], [`parse_tiling_setting`]) that panics on a
-//! value it does not know. Every scheme produces bit-identical results, so the
-//! knobs are pure performance controls.
+//! Two overrides adjust the plan, both set from `RunConfig` by
+//! `experiment::run`: [`set_micro_override`] (a named micro-kernel; kernels the
+//! host lacks degrade to portable) and [`set_tiling_override`] (partition and
+//! tile, applied on top of selection for packed schemes). Every scheme produces
+//! bit-identical results, so the overrides are pure performance controls.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Once;
 
 use super::gemm::Trans;
 use super::micro::{MicroKernelId, MicroSelect};
@@ -154,8 +151,8 @@ fn preferred_tile(micro: MicroSelect) -> TileSize {
 // Override knobs.
 //
 // Stored lock-free so `plan` (one read per gemm call) costs a few relaxed
-// atomic loads and zero allocations. Env values are folded in once, lazily;
-// the RunConfig setters below overwrite them for the rest of the process.
+// atomic loads and zero allocations. `experiment::run` sets them from the
+// RunConfig; they hold for the rest of the process.
 // ---------------------------------------------------------------------------
 
 const MICRO_AUTO: u8 = 0;
@@ -165,7 +162,6 @@ static OVERRIDE_MC: AtomicUsize = AtomicUsize::new(0);
 static OVERRIDE_KC: AtomicUsize = AtomicUsize::new(0);
 static OVERRIDE_NC: AtomicUsize = AtomicUsize::new(0);
 static OVERRIDE_TILE: AtomicU8 = AtomicU8::new(0);
-static ENV_INIT: Once = Once::new();
 
 fn micro_tag(id: MicroKernelId) -> u8 {
     match id {
@@ -206,74 +202,24 @@ fn tile_from_tag(tag: u8) -> Option<TileSize> {
     }
 }
 
-/// Parses a `MERGESFL_MICROKERNEL` setting. Unset or empty means auto-selection; any
-/// other value must name a micro-kernel (ASCII case-insensitive) — a mistyped one panics
-/// instead of silently running the automatic choice. A named kernel the host lacks is
-/// still accepted: planning degrades it to the portable tile.
-pub fn parse_micro_kernel_setting(setting: Option<&str>) -> Option<MicroKernelId> {
-    match setting.map(str::trim) {
-        None | Some("") => None,
-        Some(name) => Some(MicroKernelId::from_name(name).unwrap_or_else(|| {
-            panic!(
-                "MERGESFL_MICROKERNEL={name:?} is not a micro-kernel; \
-                 accepted values: portable, avx, avx512, avx512w"
-            )
-        })),
-    }
-}
-
-/// Parses a `MERGESFL_TILING` setting. Unset or empty means no override; any other value
-/// must be a spec [`TilingOverride::parse`] accepts — an unknown key or a malformed value
-/// panics instead of silently dropping the whole spec.
-pub fn parse_tiling_setting(setting: Option<&str>) -> TilingOverride {
-    TilingOverride::parse(setting.unwrap_or("")).unwrap_or_else(|msg| {
-        panic!(
-            "{msg}; accepted: comma-separated mc=N, kc=N, nc=N (positive integers), \
-             tile=4x8|8x8|16x8|16x16"
-        )
-    })
-}
-
-fn init_overrides_from_env() {
-    ENV_INIT.call_once(|| {
-        store_micro_override(parse_micro_kernel_setting(
-            crate::env::var("MERGESFL_MICROKERNEL").as_deref(),
-        ));
-        store_tiling_override(parse_tiling_setting(
-            crate::env::var("MERGESFL_TILING").as_deref(),
-        ));
-    });
-}
-
-fn store_micro_override(id: Option<MicroKernelId>) {
+/// Sets (or clears, with `None`) the process-wide micro-kernel override.
+/// Plumbed from `RunConfig::micro_kernel`.
+pub fn set_micro_override(id: Option<MicroKernelId>) {
     MICRO_OVERRIDE.store(id.map_or(MICRO_AUTO, micro_tag), Ordering::Relaxed);
 }
 
-fn store_tiling_override(ov: TilingOverride) {
+/// Sets the process-wide tiling override (the default value clears it).
+/// Plumbed from `RunConfig::tiling`.
+pub fn set_tiling_override(ov: TilingOverride) {
     OVERRIDE_MC.store(ov.mc.unwrap_or(0), Ordering::Relaxed);
     OVERRIDE_KC.store(ov.kc.unwrap_or(0), Ordering::Relaxed);
     OVERRIDE_NC.store(ov.nc.unwrap_or(0), Ordering::Relaxed);
     OVERRIDE_TILE.store(ov.tile.map_or(0, tile_tag), Ordering::Relaxed);
 }
 
-/// Sets (or clears, with `None`) the process-wide micro-kernel override.
-/// Plumbed from `RunConfig`; takes precedence over `MERGESFL_MICROKERNEL`.
-pub fn set_micro_override(id: Option<MicroKernelId>) {
-    init_overrides_from_env();
-    store_micro_override(id);
-}
-
-/// Sets the process-wide tiling override (the default value clears it).
-/// Plumbed from `RunConfig`; takes precedence over `MERGESFL_TILING`.
-pub fn set_tiling_override(ov: TilingOverride) {
-    init_overrides_from_env();
-    store_tiling_override(ov);
-}
-
 /// The effective micro-kernel policy: forced when an override names an
 /// available kernel, auto otherwise.
 pub fn micro_select() -> MicroSelect {
-    init_overrides_from_env();
     match micro_from_tag(MICRO_OVERRIDE.load(Ordering::Relaxed)) {
         Some(id) if id.is_available() => MicroSelect::Force(id),
         _ => MicroSelect::Auto,
@@ -282,7 +228,6 @@ pub fn micro_select() -> MicroSelect {
 
 /// The effective tiling override applied to packed schemes.
 pub fn tiling_override() -> TilingOverride {
-    init_overrides_from_env();
     TilingOverride {
         mc: match OVERRIDE_MC.load(Ordering::Relaxed) {
             0 => None,
@@ -514,30 +459,5 @@ mod tests {
             }
         }
         rayon::set_num_threads(0);
-    }
-
-    #[test]
-    fn unset_or_empty_knob_settings_mean_auto() {
-        assert_eq!(parse_micro_kernel_setting(None), None);
-        assert_eq!(parse_micro_kernel_setting(Some(" ")), None);
-        assert_eq!(
-            parse_micro_kernel_setting(Some("avx512w")),
-            Some(MicroKernelId::Avx512_16x16)
-        );
-        assert_eq!(parse_tiling_setting(None), TilingOverride::default());
-        assert_eq!(parse_tiling_setting(Some("")), TilingOverride::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "MERGESFL_MICROKERNEL=\"avx2\" is not a micro-kernel")]
-    fn mistyped_micro_kernel_setting_fails_loudly() {
-        parse_micro_kernel_setting(Some("avx2"));
-    }
-
-    #[test]
-    #[should_panic(expected = "MERGESFL_TILING: stages=2 is not a staging")]
-    fn retired_double_staging_setting_fails_loudly() {
-        // Once valid; silently dropping the whole spec would also drop its `mc`.
-        parse_tiling_setting(Some("mc=96,stages=2"));
     }
 }

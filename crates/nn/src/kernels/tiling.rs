@@ -153,9 +153,7 @@ impl TilingScheme {
 /// Spec grammar: comma-separated `key=value` pairs, e.g.
 /// `mc=96,kc=192,nc=384,tile=16x8`. Keys: `mc`, `kc`, `nc` (positive
 /// integers), `tile` (`MRxNR`, one of the supported tiles). Unknown keys or
-/// malformed values make the whole spec invalid. `stages=1` is also accepted
-/// and changes nothing: it names the one packed staging there is, and specs
-/// written when a second one existed still pin it.
+/// malformed values make the whole spec invalid.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TilingOverride {
     /// Override of [`PartitionSize::mc`].
@@ -192,13 +190,6 @@ impl TilingOverride {
                 "mc" => out.mc = Some(parse_dim(value)?),
                 "kc" => out.kc = Some(parse_dim(value)?),
                 "nc" => out.nc = Some(parse_dim(value)?),
-                "stages" if value == "1" => {}
-                "stages" => {
-                    return Err(format!(
-                        "MERGESFL_TILING: stages={value} is not a staging; packed GEMMs run \
-                         single-stage (stages=1)"
-                    ))
-                }
                 "tile" => {
                     let (mr, nr) = value
                         .split_once('x')
@@ -262,7 +253,7 @@ mod tests {
 
     #[test]
     fn override_parses_and_applies() {
-        let ov = TilingOverride::parse("mc=96, kc=192,nc=384,stages=1,tile=16x8").unwrap();
+        let ov = TilingOverride::parse("mc=96, kc=192,nc=384,tile=16x8").unwrap();
         let mut scheme = TilingScheme::packed(TileSize { mr: 8, nr: 8 }, Staging::Single);
         ov.apply(&mut scheme);
         assert_eq!(
@@ -286,7 +277,7 @@ mod tests {
     #[test]
     fn override_rejects_malformed_specs() {
         for bad in [
-            "mc=0", "mc=abc", "stages=2", "stages=3", "tile=5x5", "tile=8", "bogus=1", "mc",
+            "mc=0", "mc=abc", "stages=1", "stages=2", "tile=5x5", "tile=8", "bogus=1", "mc",
         ] {
             assert!(
                 TilingOverride::parse(bad).is_err(),

@@ -13,7 +13,8 @@
 //! fully overwritten by its producer (`take_uninit`) or explicitly zeroed
 //! (`take_zeroed`), so trajectories are bit-identical to the unpooled path. The
 //! determinism suite pins that invariant by replaying the engine matrix with the pool
-//! disabled (`MERGESFL_TENSOR_POOL=off`).
+//! disabled (`RunConfig::tensor_pool = false`, which `experiment::run` applies through
+//! [`set_enabled`]).
 //!
 //! # Threading
 //!
@@ -33,8 +34,8 @@
 //! `BENCH_kernels.json` (schema v2, `allocs_per_iter`). [`CountingAlloc`] is a
 //! `GlobalAlloc` wrapper around the system allocator that counts every heap
 //! allocation; `kernel_bench` installs it as the global allocator and uses it,
-//! together with the pool counters, as the `MERGESFL_COUNT_ALLOCS` probe behind the
-//! CI allocation gate (steady-state `allocs_per_iter == 0` on the gated kernels).
+//! together with the pool counters, as the probe behind the CI allocation gate
+//! (steady-state `allocs_per_iter == 0` on the gated kernels).
 
 #![allow(
     unsafe_code,
@@ -43,7 +44,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Smallest page length in elements; requests below this round up to it.
@@ -136,33 +137,20 @@ pub fn stats() -> PoolStats {
 
 // --- enable toggle -------------------------------------------------------------------
 
-const ENABLED_UNSET: u8 = 0;
-const ENABLED_ON: u8 = 1;
-const ENABLED_OFF: u8 = 2;
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-static ENABLED: AtomicU8 = AtomicU8::new(ENABLED_UNSET);
-
-/// Whether checkouts go through the pool. Defaults to the `MERGESFL_TENSOR_POOL`
-/// environment variable (`off` / `0` / `false` disable it; anything else, including
-/// unset, enables it). Disabled, `take_*` degrade to plain `Vec` allocations and
-/// `recycle` to a plain drop — the bit-identical oracle path.
+/// Whether checkouts go through the pool (on until [`set_enabled`] says otherwise).
+/// Disabled, `take_*` degrade to plain `Vec` allocations and `recycle` to a plain
+/// drop — the bit-identical oracle path.
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        ENABLED_ON => true,
-        ENABLED_OFF => false,
-        _ => {
-            let on = !crate::env::flag_off("MERGESFL_TENSOR_POOL");
-            ENABLED.store(if on { ENABLED_ON } else { ENABLED_OFF }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Overrides the pool toggle process-wide (`RunConfig::tensor_pool` applies this, the
 /// same pattern as `kernels::set_default_backend`). Pool on/off never changes values,
 /// only allocation behaviour, so flipping it between runs is always safe.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { ENABLED_ON } else { ENABLED_OFF }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // --- the pool ------------------------------------------------------------------------
@@ -470,13 +458,6 @@ pub fn heap_bytes() -> u64 {
     HEAP_BYTES.load(Ordering::Relaxed)
 }
 
-/// Whether allocation counting is requested (`MERGESFL_COUNT_ALLOCS`; default on —
-/// only `0` / `off` / `false` disable it). `kernel_bench` consults this to decide
-/// whether to measure and emit `allocs_per_iter`.
-pub fn count_allocs() -> bool {
-    !crate::env::flag_off("MERGESFL_COUNT_ALLOCS")
-}
-
 /// Serialises tests (across this crate's modules) that assert on page identity or flip
 /// the global toggle, so concurrent test threads can't interleave takes between them.
 #[cfg(test)]
@@ -488,7 +469,7 @@ mod tests {
 
     /// Holds [`POOL_TEST_LOCK`] with the pool switched on, and restores the switch on
     /// drop: the page-identity tests assert what the pool does, so they must run it even
-    /// in a process that starts with `MERGESFL_TENSOR_POOL=off`.
+    /// after another test of this process switched it off.
     struct PoolOn {
         was_enabled: bool,
         _lock: std::sync::MutexGuard<'static, ()>,

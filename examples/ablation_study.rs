@@ -10,7 +10,7 @@ use mergesfl_data::DatasetKind;
 fn main() {
     for (label, p) in [("IID (p = 0)", 0.0f32), ("non-IID (p = 10)", 10.0)] {
         println!("=== {label} ===");
-        let config = RunConfig::quick(DatasetKind::Cifar10, p, 5);
+        let config = RunConfig::quick(DatasetKind::Cifar10, p, 5).with_env_overrides();
         for approach in Approach::ablation_set() {
             let r = run(approach, &config);
             println!(

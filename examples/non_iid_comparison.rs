@@ -9,7 +9,7 @@ use mergesfl::experiment::{run, Approach};
 use mergesfl_data::DatasetKind;
 
 fn main() {
-    let config = RunConfig::quick(DatasetKind::Har, 10.0, 7);
+    let config = RunConfig::quick(DatasetKind::Har, 10.0, 7).with_env_overrides();
     println!(
         "HAR analogue, non-IID (p = 10), {} workers, {} rounds\n",
         config.num_workers, config.rounds

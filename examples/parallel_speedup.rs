@@ -16,7 +16,7 @@ use mergesfl_data::DatasetKind;
 use std::time::Instant;
 
 fn main() {
-    let mut config = RunConfig::quick(DatasetKind::Cifar10, 10.0, 121);
+    let mut config = RunConfig::quick(DatasetKind::Cifar10, 10.0, 121).with_env_overrides();
     config.num_workers = 50;
     config.participants_per_round = 12;
     config.rounds = 6;

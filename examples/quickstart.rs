@@ -10,7 +10,8 @@ use mergesfl_data::DatasetKind;
 fn main() {
     // A scaled-down configuration: 20 simulated Jetson workers, 12 communication rounds,
     // non-IID level p = 10 (each worker's data concentrated on few classes).
-    let config = RunConfig::quick(DatasetKind::Cifar10, 10.0, 42);
+    // Exported `MERGESFL_*` run knobs (e.g. `MERGESFL_PIPELINE=on`) apply on top.
+    let config = RunConfig::quick(DatasetKind::Cifar10, 10.0, 42).with_env_overrides();
     println!(
         "Training {:?} with MergeSFL: {} workers, {} rounds, tau = {}",
         config.dataset,

@@ -4,7 +4,7 @@
 //! selects only the simulated clock's schedule: it may change the simulated time series
 //! (the overlap-aware makespan instead of the barrier sum), never the model trajectory.
 
-use mergesfl::config::{RunConfig, ShardTopology};
+use mergesfl::config::{MicroKernelId, RunConfig, ShardTopology};
 use mergesfl::experiment::{run, Approach};
 use mergesfl::metrics::RunResult;
 use mergesfl_data::DatasetKind;
@@ -405,8 +405,7 @@ fn zero_staleness_is_bit_identical_to_the_barrier_oracle_across_the_matrix() {
     // The k = 0 contract of the bounded-staleness mode: with the window at zero no
     // snapshot is ever taken, so in every cell of the shards × topology matrix the
     // parallel run must reproduce the sequential one bit for bit — exactly the guarantee
-    // the pre-staleness engine gave. Staleness is pinned explicitly on both sides because
-    // the CI matrix may set MERGESFL_STALENESS for the whole suite.
+    // the pre-staleness engine gave.
     for (servers, topology) in [
         (1, ShardTopology::Replicated),
         (4, ShardTopology::Replicated),
@@ -500,12 +499,28 @@ fn tensor_pool_is_bit_identical_across_the_execution_matrix() {
 }
 
 #[test]
+fn forced_portable_micro_kernel_is_bit_identical_to_auto() {
+    // The generic tiled path (the packed entry under the GEMMs, the gathered one under
+    // the convolutions) end to end: forcing the portable micro-kernel on a host whose
+    // SIMD kernels auto-selection would pick must not move a bit. Both runs happen inside
+    // one test because `run` sets the process-wide override.
+    let auto = tiny(91);
+    let mut portable = auto.clone();
+    portable.micro_kernel = Some(MicroKernelId::Portable);
+    let a = run(Approach::MergeSfl, &auto);
+    let b = run(Approach::MergeSfl, &portable);
+    assert_eq!(
+        a, b,
+        "the portable micro-kernel diverged from auto-selection"
+    );
+}
+
+#[test]
 fn trivial_fleet_is_bit_identical_to_the_classic_path_across_the_matrix() {
     // The fleet axis's compatibility contract: registering exactly one client per data
     // shard (`fleet == Some(num_workers)`) with churn off must BE the classic dense
     // loop — same cluster, same plans, same loader streams, same records, bit for bit —
-    // in every parallel × topology cell. Both sides pin the fleet knobs
-    // explicitly because the CI matrix may export MERGESFL_FLEET for the whole suite.
+    // in every parallel × topology cell.
     for topology in [ShardTopology::Replicated, ShardTopology::OutputPartitioned] {
         for parallel in [false, true] {
             let mut without_fleet = tiny(81);

@@ -195,9 +195,7 @@ fn output_partitioning_is_exact_while_replication_trails() {
     // series must match bit for bit), while the replicated topology's periodic averaging
     // (sync_every = 2) perturbs the trajectory — each replica steps on a skewed quarter
     // of the merged batch between syncs — and trails the exact trajectory's accuracy on
-    // this non-IID configuration. Staleness is pinned to 0 because the CI matrix may set
-    // MERGESFL_STALENESS for the whole suite, and the comparison is about synchronous
-    // replication.
+    // this non-IID configuration.
     let configure = |servers: usize, topology: ShardTopology, sync_every: usize| {
         let mut c = tiny(DatasetKind::Har, 10.0, 23);
         c.rounds = 8;
@@ -206,7 +204,6 @@ fn output_partitioning_is_exact_while_replication_trails() {
         c.num_servers = servers;
         c.topology = topology;
         c.sync_every = sync_every;
-        c.staleness = 0;
         c
     };
     let single = run(

@@ -22,8 +22,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Serialises the tests of this binary so each measured section owns the counter.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// The 80-worker fig12 shape at cohort 64, with the fleet knobs pinned (the CI matrix
-/// may export MERGESFL_FLEET for the whole suite).
+/// The 80-worker fig12 shape at cohort 64 on the classic dense path.
 fn cohort64(seed: u64) -> RunConfig {
     let mut c = RunConfig::quick(DatasetKind::Har, 5.0, seed);
     c.num_workers = 80;
@@ -33,8 +32,6 @@ fn cohort64(seed: u64) -> RunConfig {
     c.train_size = Some(800);
     c.eval_every = 8;
     c.eval_samples = 60;
-    c.fleet = None;
-    c.churn = false;
     c
 }
 

@@ -4,34 +4,18 @@
 //! moves the trajectory on purpose re-records them (run with `--nocapture`, the failure
 //! message prints the observed rows in source form).
 
-use mergesfl::config::{KernelBackend, RunConfig, ShardTopology, TilingOverride};
+use mergesfl::config::RunConfig;
 use mergesfl::experiment::{run, Approach};
 use mergesfl_data::DatasetKind;
 
 const ROUNDS: usize = 3;
 
-/// `RunConfig::quick` with every environment-derived field set explicitly, so the CI
-/// matrix cells (`MERGESFL_PIPELINE`, `_NUM_SERVERS`, `_TOPOLOGY`, `_STALENESS`,
-/// `_TENSOR_POOL`, `_MICROKERNEL`, ...) all run the same configuration. Same field list as
-/// `benchmark/src/workloads.rs::hermetic_quick`.
+/// `RunConfig::quick` cut to [`ROUNDS`] rounds.
 fn pinned(dataset: DatasetKind) -> RunConfig {
-    let mut c = RunConfig::quick(dataset, 10.0, 42);
-    c.rounds = ROUNDS;
-    c.pipeline = false;
-    c.kernel_backend = KernelBackend::Blocked;
-    c.micro_kernel = None;
-    c.tiling = TilingOverride::default();
-    c.tensor_pool = true;
-    c.num_servers = 1;
-    c.sync_every = 1;
-    c.topology = ShardTopology::Replicated;
-    c.staleness = 0;
-    c.fleet = None;
-    c.churn = false;
-    c.churn_period = 48;
-    c.churn_min_availability = 0.6;
-    c.churn_dropout = 0.05;
-    c
+    RunConfig {
+        rounds: ROUNDS,
+        ..RunConfig::quick(dataset, 10.0, 42)
+    }
 }
 
 /// One pinned round: `(train_loss.to_bits(), total_batch, participants,
