@@ -259,6 +259,26 @@ pub fn select_workers(
 mod tests {
     use super::*;
 
+    /// Skewed per-candidate label distributions over `classes` classes and batch sizes in
+    /// `1..=32`, drawn from `seed`.
+    fn random_candidates(
+        n: usize,
+        classes: usize,
+        seed: u64,
+    ) -> (Vec<LabelDistribution>, Vec<usize>) {
+        let mut rng = seeded(seed);
+        let dists = (0..n)
+            .map(|_| {
+                let v = (0..classes)
+                    .map(|_| rng.gen::<f32>().powi(3) + 1e-3)
+                    .collect();
+                LabelDistribution::new(v)
+            })
+            .collect();
+        let batches = (0..n).map(|_| rng.gen_range(1..33usize)).collect();
+        (dists, batches)
+    }
+
     fn one_hot(class: usize, num_classes: usize) -> LabelDistribution {
         let mut v = vec![0.0f32; num_classes];
         v[class] = 1.0;
@@ -395,5 +415,36 @@ mod tests {
         let a = select_workers(&problem, &GeneticConfig::default(), 9);
         let b = select_workers(&problem, &GeneticConfig::default(), 9);
         assert_eq!(a.selected, b.selected);
+    }
+
+    #[test]
+    fn selection_is_pinned_on_the_fleet_shape() {
+        // The fleet planner's shape: 256 candidates, 6 classes, a cohort cap of 64 and a
+        // budget that binds near the cap.
+        let (dists, batch_sizes) = random_candidates(256, 6, 42);
+        let refs: Vec<&LabelDistribution> = dists.iter().collect();
+        let candidates: Vec<usize> = (0..256).map(|i| 1000 + 3 * i).collect();
+        let phi0 = LabelDistribution::uniform(6);
+        let problem = SelectionProblem {
+            candidates: &candidates,
+            label_dists: &refs,
+            batch_sizes: &batch_sizes,
+            iid_reference: &phi0,
+            feature_bytes_per_sample: 256.0,
+            budget_bytes: 64.0 * 16.0 * 256.0,
+            max_selected: 64,
+        };
+        let outcome = select_workers(&problem, &GeneticConfig::default(), 11);
+        // Candidate positions of the selected ids (id = 1000 + 3 * position).
+        let positions: Vec<usize> = outcome.selected.iter().map(|id| (id - 1000) / 3).collect();
+        let want: [usize; 61] = [
+            0, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14, 20, 22, 23, 24, 31, 41, 50, 52, 65, 69, 72, 73,
+            78, 81, 82, 83, 95, 99, 106, 107, 111, 112, 114, 116, 123, 126, 127, 140, 141, 148,
+            150, 160, 174, 186, 192, 195, 196, 201, 203, 207, 208, 213, 214, 216, 217, 225, 228,
+            244, 247, 252,
+        ];
+        assert_eq!(positions, want);
+        assert_eq!(outcome.kl.to_bits(), 0x3ba06561);
+        assert!(outcome.feasible);
     }
 }

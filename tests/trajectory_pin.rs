@@ -1,5 +1,5 @@
 //! "The checksum does not move": the first three rounds of a MergeSFL quick run on every
-//! zoo dataset, pinned to constants. A kernel or engine change that is supposed to be
+//! zoo dataset, and of one fleet-mode run, pinned to constants. A kernel or engine change that is supposed to be
 //! bit-identical either leaves these values alone or is not bit-identical; a change that
 //! moves the trajectory on purpose re-records them (run with `--nocapture`, the failure
 //! message prints the observed rows in source form).
@@ -25,7 +25,12 @@ fn pinned(dataset: DatasetKind) -> RunConfig {
 type Row = (u32, usize, usize, u64, u64);
 
 fn check(dataset: DatasetKind, want: [Row; ROUNDS]) {
-    let result = run(Approach::MergeSfl, &pinned(dataset));
+    check_config(&pinned(dataset), want);
+}
+
+fn check_config(config: &RunConfig, want: [Row; ROUNDS]) {
+    let dataset = config.dataset;
+    let result = run(Approach::MergeSfl, config);
     let got: Vec<Row> = result
         .records
         .iter()
@@ -95,6 +100,28 @@ fn image100_trajectory_is_pinned() {
             (0x4093580b, 84, 6, 0x4082d99ecb7ea747, 0x4082d3cd2fbc03f8),
             (0x40936288, 84, 6, 0x409066c312cf0308, 0x407bdbc6e13cbed7),
             (0x40935d01, 96, 6, 0x409b85f5c0cebe66, 0x408639190d76a77e),
+        ],
+    );
+}
+
+/// Fleet mode (more registered clients than data shards, with churn) plans over a sampled
+/// candidate set and trains an on-demand cohort; the classic pins above never reach it.
+#[test]
+fn har_fleet_trajectory_is_pinned() {
+    let config = RunConfig {
+        num_workers: 80,
+        participants_per_round: 64,
+        fleet: Some(100_000),
+        churn: true,
+        ..pinned(DatasetKind::Har)
+    };
+    assert!(config.fleet_mode());
+    check_config(
+        &config,
+        [
+            (0x402cbfa3, 896, 56, 0x401864dde2aa6caf, 0x40170e72ea80da99),
+            (0x3fb0654c, 992, 62, 0x40281574c18cb0b2, 0x40163e904a87bdac),
+            (0x3fa7a68c, 928, 58, 0x4030d50a2b41edb4, 0x40120c4d0ae9cb9e),
         ],
     );
 }
