@@ -8,9 +8,9 @@
 //! priority-ranked top-`m` workers and evolved with tournament selection, uniform crossover
 //! and bit-flip mutation.
 
+use mergesfl_data::label_dist::kl_divergence;
 use mergesfl_data::LabelDistribution;
 use mergesfl_nn::rng::seeded;
-use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Tunable parameters of the genetic search.
@@ -91,40 +91,126 @@ pub fn subset_kl(
     LabelDistribution::mixture(&dists, &weights).kl_divergence(iid_reference)
 }
 
-fn traffic_bytes(mask: &[bool], batch_sizes: &[usize], feature_bytes: f64) -> f64 {
-    mask.iter()
-        .zip(batch_sizes)
-        .filter(|(&m, _)| m)
-        .map(|(_, &d)| d as f64 * feature_bytes)
-        .sum()
+/// A candidate subset as bitset words: bit `i % 64` of word `i / 64` selects candidate `i`.
+/// Bits at positions `>= n` are always clear.
+type Mask = [u64];
+
+/// The selected candidate positions of `mask`, in ascending order.
+fn set_bits(mask: &Mask) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                64 * w + bit
+            })
+        })
+    })
 }
 
-fn fitness(problem: &SelectionProblem<'_>, config: &GeneticConfig, mask: &[bool]) -> f64 {
-    let selected = mask.iter().filter(|&&m| m).count();
-    if selected == 0 {
-        return f64::INFINITY;
+fn popcount(mask: &Mask) -> usize {
+    mask.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Flat per-candidate tables the fitness folds over, built once per
+/// [`select_workers`] call so an evaluation touches no `LabelDistribution` and
+/// allocates nothing.
+struct FitnessTables<'a> {
+    classes: usize,
+    /// Class probabilities, `n × classes`, row-major.
+    probs: Vec<f32>,
+    /// Mixture weight `d_i as f32` per candidate.
+    weights: Vec<f32>,
+    /// Feature traffic `d_i as f64 · c` per candidate.
+    traffic: Vec<f64>,
+    iid: &'a [f32],
+    budget_bytes: f64,
+    max_selected: usize,
+    penalty: f64,
+}
+
+impl<'a> FitnessTables<'a> {
+    fn new(problem: &SelectionProblem<'a>, config: &GeneticConfig) -> Self {
+        let classes = problem.iid_reference.num_classes();
+        let mut probs = Vec::with_capacity(problem.label_dists.len() * classes);
+        for dist in problem.label_dists {
+            assert_eq!(
+                dist.num_classes(),
+                classes,
+                "select_workers: class count mismatch"
+            );
+            probs.extend_from_slice(dist.probs());
+        }
+        let c = problem.feature_bytes_per_sample;
+        Self {
+            classes,
+            probs,
+            weights: problem.batch_sizes.iter().map(|&d| d as f32).collect(),
+            traffic: problem.batch_sizes.iter().map(|&d| d as f64 * c).collect(),
+            iid: problem.iid_reference.probs(),
+            budget_bytes: problem.budget_bytes,
+            max_selected: problem.max_selected,
+            penalty: config.infeasibility_penalty,
+        }
     }
-    let kl = subset_kl(
-        mask,
-        problem.label_dists,
-        problem.batch_sizes,
-        problem.iid_reference,
-    ) as f64;
-    let traffic = traffic_bytes(mask, problem.batch_sizes, problem.feature_bytes_per_sample);
-    let mut penalty = 0.0;
-    if traffic > problem.budget_bytes {
-        penalty += config.infeasibility_penalty * (traffic / problem.budget_bytes - 1.0);
+
+    fn traffic_bytes(&self, mask: &Mask) -> f64 {
+        set_bits(mask).map(|i| self.traffic[i]).sum()
     }
-    if problem.max_selected > 0 && selected > problem.max_selected {
-        penalty += config.infeasibility_penalty * (selected - problem.max_selected) as f64;
+
+    /// The KL divergence of the mask's batch-weighted mixture from the IID reference,
+    /// folded into `mix` (`classes` long) with the operations and order of
+    /// `LabelDistribution::mixture` followed by `kl_divergence` — [`subset_kl`] bit for
+    /// bit on a non-empty mask.
+    fn kl(&self, mask: &Mask, mix: &mut [f32]) -> f32 {
+        let total: f32 = set_bits(mask).map(|i| self.weights[i]).sum();
+        assert!(total > 0.0, "mixture: weights must sum to a positive value");
+        mix.fill(0.0);
+        for i in set_bits(mask) {
+            let w = self.weights[i];
+            let row = &self.probs[i * self.classes..(i + 1) * self.classes];
+            for (p, &dp) in mix.iter_mut().zip(row) {
+                *p += w * dp;
+            }
+        }
+        for p in mix.iter_mut() {
+            *p /= total;
+        }
+        kl_divergence(mix, self.iid)
     }
-    // Prefer larger cohorts among equally IID ones: more merged features per iteration means
-    // better utilisation of the budget (mirrors the paper's "collect enough features" goal).
-    let coverage_bonus = 1e-3 * selected as f64;
-    kl + penalty - coverage_bonus
+
+    /// Mixture KL plus the budget and cohort-size penalties, minus a small bonus per
+    /// selected worker; infinite for the empty set.
+    fn fitness(&self, mask: &Mask, mix: &mut [f32]) -> f64 {
+        let selected = popcount(mask);
+        if selected == 0 {
+            return f64::INFINITY;
+        }
+        let kl = self.kl(mask, mix) as f64;
+        let traffic = self.traffic_bytes(mask);
+        let mut penalty = 0.0;
+        if traffic > self.budget_bytes {
+            penalty += self.penalty * (traffic / self.budget_bytes - 1.0);
+        }
+        if self.max_selected > 0 && selected > self.max_selected {
+            penalty += self.penalty * (selected - self.max_selected) as f64;
+        }
+        // Prefer larger cohorts among equally IID ones: more merged features per iteration
+        // means better utilisation of the budget (mirrors the paper's "collect enough
+        // features" goal).
+        let coverage_bonus = 1e-3 * selected as f64;
+        kl + penalty - coverage_bonus
+    }
 }
 
 /// Runs the genetic algorithm and returns the best worker subset found.
+///
+/// Masks live as bitset words in two population buffers swapped each generation, so the
+/// search allocates nothing after setup. The RNG draw sequence is fixed: the random part
+/// of the initial population takes one `gen_bool(0.5)` per candidate, and each child
+/// takes two tournament picks (two `gen_range` each), then one crossover `gen_bool` per
+/// candidate, then one mutation `gen_bool` per candidate.
 pub fn select_workers(
     problem: &SelectionProblem<'_>,
     config: &GeneticConfig,
@@ -142,114 +228,109 @@ pub fn select_workers(
         n,
         "select_workers: batch size count mismatch"
     );
+    let tables = FitnessTables::new(problem, config);
+    let mut mix = vec![0.0f32; tables.classes];
     let mut rng = seeded(seed);
+    let words = n.div_ceil(64);
+    // The greedy prefixes below always seed at least one member.
+    let size = config.population.max(1);
+    let mut population = vec![0u64; size * words];
+    let mut next = vec![0u64; size * words];
+    let mut fits = vec![0.0f64; size];
 
     // Initial population: greedy prefixes of the priority ranking plus random masks.
-    let mut population: Vec<Vec<bool>> = Vec::with_capacity(config.population);
     let cap = if problem.max_selected == 0 {
         n
     } else {
         problem.max_selected.min(n)
     };
-    for k in 1..=cap {
-        let mut mask = vec![false; n];
-        for m in mask.iter_mut().take(k) {
-            *m = true;
+    let prefixes = cap.min(size);
+    for (k, mask) in population.chunks_exact_mut(words).enumerate() {
+        if k < prefixes {
+            for i in 0..=k {
+                mask[i / 64] |= 1 << (i % 64);
+            }
+        } else {
+            for i in 0..n {
+                mask[i / 64] |= u64::from(rng.gen_bool(0.5)) << (i % 64);
+            }
         }
-        population.push(mask);
-        if population.len() >= config.population {
-            break;
-        }
-    }
-    while population.len() < config.population {
-        let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
-        population.push(mask);
     }
 
-    let mut best = population[0].clone();
-    let mut best_fit = fitness(problem, config, &best);
+    // Slot 0 always holds `best`: the first prefix, then the elite carried over.
+    let mut best = population[..words].to_vec();
+    let mut best_fit = tables.fitness(&best, &mut mix);
+    fits[0] = best_fit;
 
     for _ in 0..config.generations {
-        let fits: Vec<f64> = population
-            .iter()
-            .map(|m| fitness(problem, config, m))
-            .collect();
-        for (mask, &fit) in population.iter().zip(&fits) {
+        for (fit, mask) in fits.iter_mut().zip(population.chunks_exact(words)).skip(1) {
+            *fit = tables.fitness(mask, &mut mix);
+        }
+        for (mask, &fit) in population.chunks_exact(words).zip(&fits) {
             if fit < best_fit {
                 best_fit = fit;
-                best = mask.clone();
+                best.copy_from_slice(mask);
             }
         }
         // Tournament selection + uniform crossover + mutation.
-        let mut next = Vec::with_capacity(population.len());
-        next.push(best.clone()); // elitism
-        while next.len() < population.len() {
-            let pick = |rng: &mut StdRng| -> usize {
-                let a = rng.gen_range(0..population.len());
-                let b = rng.gen_range(0..population.len());
+        next[..words].copy_from_slice(&best); // elitism
+        for child in next.chunks_exact_mut(words).skip(1) {
+            let mut pick = || {
+                let a = rng.gen_range(0..size);
+                let b = rng.gen_range(0..size);
                 if fits[a] <= fits[b] {
                     a
                 } else {
                     b
                 }
             };
-            let pa = pick(&mut rng);
-            let pb = pick(&mut rng);
-            let mut child: Vec<bool> = (0..n)
-                .map(|i| {
-                    if rng.gen_bool(config.crossover_mix) {
-                        population[pa][i]
-                    } else {
-                        population[pb][i]
-                    }
-                })
-                .collect();
-            for gene in child.iter_mut() {
-                if rng.gen_bool(config.mutation_rate) {
-                    *gene = !*gene;
+            let pa = pick();
+            let pb = pick();
+            let a = &population[pa * words..][..words];
+            let b = &population[pb * words..][..words];
+            for (w, gene) in child.iter_mut().enumerate() {
+                let mut from_a = 0u64;
+                for bit in 0..(n - 64 * w).min(64) {
+                    from_a |= u64::from(rng.gen_bool(config.crossover_mix)) << bit;
                 }
+                *gene = b[w] ^ ((a[w] ^ b[w]) & from_a);
             }
-            next.push(child);
+            for (w, gene) in child.iter_mut().enumerate() {
+                let mut flips = 0u64;
+                for bit in 0..(n - 64 * w).min(64) {
+                    flips |= u64::from(rng.gen_bool(config.mutation_rate)) << bit;
+                }
+                *gene ^= flips;
+            }
         }
-        population = next;
+        std::mem::swap(&mut population, &mut next);
+        fits[0] = best_fit;
     }
 
     // Final repair: drop selected workers (lowest priority first, i.e. from the back of the
     // candidate ordering) until the budget and cohort-size constraints hold.
     let mut mask = best;
     loop {
-        let selected = mask.iter().filter(|&&m| m).count();
-        let traffic = traffic_bytes(&mask, problem.batch_sizes, problem.feature_bytes_per_sample);
+        let selected = popcount(&mask);
+        let traffic = tables.traffic_bytes(&mask);
         let over_budget = traffic > problem.budget_bytes && selected > 1;
         let over_count = problem.max_selected > 0 && selected > problem.max_selected;
         if !over_budget && !over_count {
             break;
         }
-        if let Some(last) = (0..mask.len()).rev().find(|&i| mask[i]) {
-            mask[last] = false;
-        } else {
-            break;
+        match mask.iter().rposition(|&w| w != 0) {
+            Some(w) => mask[w] &= !(1 << (63 - mask[w].leading_zeros())),
+            None => break,
         }
     }
-    if mask.iter().all(|&m| !m) {
-        mask[0] = true;
+    if popcount(&mask) == 0 {
+        mask[0] = 1;
     }
 
-    let kl = subset_kl(
-        &mask,
-        problem.label_dists,
-        problem.batch_sizes,
-        problem.iid_reference,
-    );
-    let traffic = traffic_bytes(&mask, problem.batch_sizes, problem.feature_bytes_per_sample);
-    let selected = mask
-        .iter()
-        .enumerate()
-        .filter(|(_, &m)| m)
-        .map(|(i, _)| problem.candidates[i])
-        .collect();
+    let kl = tables.kl(&mask, &mut mix);
+    let traffic = tables.traffic_bytes(&mask);
     SelectionOutcome {
-        selected,
+        selected: set_bits(&mask).map(|i| problem.candidates[i]).collect(),
         kl,
         feasible: traffic <= problem.budget_bytes,
     }
@@ -258,6 +339,95 @@ pub fn select_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn traffic_bytes(mask: &[bool], batch_sizes: &[usize], feature_bytes: f64) -> f64 {
+        mask.iter()
+            .zip(batch_sizes)
+            .filter(|(&m, _)| m)
+            .map(|(_, &d)| d as f64 * feature_bytes)
+            .sum()
+    }
+
+    /// The fitness as first written, over `LabelDistribution`s: the oracle the table
+    /// fitness must match bit for bit.
+    fn oracle_fitness(
+        problem: &SelectionProblem<'_>,
+        config: &GeneticConfig,
+        mask: &[bool],
+    ) -> f64 {
+        let selected = mask.iter().filter(|&&m| m).count();
+        if selected == 0 {
+            return f64::INFINITY;
+        }
+        let kl = subset_kl(
+            mask,
+            problem.label_dists,
+            problem.batch_sizes,
+            problem.iid_reference,
+        ) as f64;
+        let traffic = traffic_bytes(mask, problem.batch_sizes, problem.feature_bytes_per_sample);
+        let mut penalty = 0.0;
+        if traffic > problem.budget_bytes {
+            penalty += config.infeasibility_penalty * (traffic / problem.budget_bytes - 1.0);
+        }
+        if problem.max_selected > 0 && selected > problem.max_selected {
+            penalty += config.infeasibility_penalty * (selected - problem.max_selected) as f64;
+        }
+        let coverage_bonus = 1e-3 * selected as f64;
+        kl + penalty - coverage_bonus
+    }
+
+    fn to_words(mask: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; mask.len().div_ceil(64)];
+        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        words
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_fitness_matches_the_oracle_bit_for_bit(
+            n in 1usize..301,
+            classes in 2usize..101,
+            seed in 0usize..1_000_000,
+            density in 0.0f64..1.0,
+            cap in 0usize..301,
+            budget_share in 0.0f64..1.5,
+        ) {
+            let (dists, batch_sizes) = random_candidates(n, classes, seed as u64);
+            let refs: Vec<&LabelDistribution> = dists.iter().collect();
+            let candidates: Vec<usize> = (0..n).collect();
+            let phi0 = LabelDistribution::average(&refs);
+            let all_traffic: f64 = batch_sizes.iter().map(|&d| d as f64 * 96.0).sum();
+            let problem = SelectionProblem {
+                candidates: &candidates,
+                label_dists: &refs,
+                batch_sizes: &batch_sizes,
+                iid_reference: &phi0,
+                feature_bytes_per_sample: 96.0,
+                budget_bytes: budget_share * all_traffic,
+                max_selected: cap.min(n),
+            };
+            let config = GeneticConfig::default();
+            let tables = FitnessTables::new(&problem, &config);
+            let mut mix = vec![0.0f32; classes];
+            let mut rng = seeded(seed as u64 ^ 0x5eed);
+            let random: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
+            for mask in [random, vec![false; n], vec![true; n]] {
+                let want = oracle_fitness(&problem, &config, &mask);
+                let got = tables.fitness(&to_words(&mask), &mut mix);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "n {} mask {:?}", n, mask);
+                if mask.contains(&true) {
+                    let kl = subset_kl(&mask, &refs, &batch_sizes, &phi0);
+                    prop_assert_eq!(tables.kl(&to_words(&mask), &mut mix).to_bits(), kl.to_bits());
+                }
+            }
+        }
+    }
 
     /// Skewed per-candidate label distributions over `classes` classes and batch sizes in
     /// `1..=32`, drawn from `seed`.

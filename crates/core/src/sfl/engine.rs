@@ -239,8 +239,9 @@ impl SflEngine {
 
         // Eagerly materializing one SflWorker (a full bottom-model replica plus loader
         // state) per registered client is exactly what a million-client fleet cannot
-        // afford. In fleet mode the vector stays empty and each round's cohort is built
-        // on demand by `materialize_cohort`; the classic regime keeps the persistent
+        // afford. In fleet mode the vector starts empty and holds cohort *slots*:
+        // `materialize_cohort` re-targets them at each round's selected clients and
+        // builds one only when the cohort grows. The classic regime keeps the persistent
         // per-shard workers — and with them the exact loader RNG advancement older
         // trajectories were blessed against.
         let workers = if config.fleet_mode() {
@@ -448,11 +449,9 @@ impl SflEngine {
                 );
             }
         }
-        let mut fleet_cohort: Vec<SflWorker> = if fleet_mode {
-            self.materialize_cohort(&plan.selected, round)
-        } else {
-            Vec::new()
-        };
+        if fleet_mode {
+            self.materialize_cohort(&plan.selected, round);
+        }
 
         // --- Training module. ---
         let lr = self.lr_schedule.at_round(round);
@@ -492,9 +491,9 @@ impl SflEngine {
             let feature_bytes = self.cluster.profile().feature_bytes_per_sample;
             // Pull `&mut` references to the cohort's workers out in plan order, each
             // borrowed at most once so they can fan out to threads. Fleet mode trains
-            // the on-demand cohort; the dense path borrows the persistent workers.
+            // the re-targeted cohort slots; the dense path borrows the persistent workers.
             let mut cohort: Vec<&mut SflWorker> = if fleet_mode {
-                fleet_cohort.iter_mut().collect()
+                self.workers.iter_mut().collect()
             } else {
                 crate::util::select_disjoint_mut(&mut self.workers, &plan.selected)
             };
@@ -615,33 +614,36 @@ impl SflEngine {
         });
     }
 
-    /// Builds the cohort's training state on demand for a fleet-mode round: one
-    /// [`SflWorker`] per selected client, nothing for the other `fleet - cohort`
-    /// registered clients. Client `c` trains data shard `c % W` (the Dirichlet
-    /// partition stays over `W = num_workers` shards — the fleet axis multiplies
-    /// clients, not data), and its loader stream is derived per (client, round) under
-    /// [`FLEET_LOADER_TAG`] so a client resumes a reproducible sequence no matter which
-    /// rounds it happens to be selected into. The initial bottom replica's weights are
-    /// irrelevant — every cohort member loads the global bottom before training — but
-    /// are built from the shared model seed anyway for uniformity with the dense path.
-    fn materialize_cohort(&self, selected: &[usize], round: usize) -> Vec<SflWorker> {
-        let model_seed = derive_seed(self.config.seed, 4);
+    /// Points the fleet's cohort slots at this round's selected clients: slot `k` trains
+    /// client `selected[k]`, nothing exists for the other `fleet - cohort` registered
+    /// clients. Client `c` trains data shard `c % W` (the Dirichlet partition stays over
+    /// `W = num_workers` shards — the fleet axis multiplies clients, not data), and its
+    /// loader stream is derived per (client, round) under [`FLEET_LOADER_TAG`] so a
+    /// client resumes a reproducible sequence no matter which rounds it happens to be
+    /// selected into. A slot keeps its bottom replica across rounds: every cohort member
+    /// loads the global bottom (which overwrites each parameter and resets the
+    /// optimizer) before training, and bottom models draw no randomness, so a reused
+    /// slot trains exactly as a freshly built one. Slots are built only when the cohort
+    /// grows and dropped when it shrinks.
+    fn materialize_cohort(&mut self, selected: &[usize], round: usize) {
         let shards = self.partition.indices.len();
-        selected
-            .iter()
-            .map(|&c| {
-                let bottom = zoo::build(self.spec.architecture, self.spec.num_classes, model_seed)
-                    .into_split()
-                    .bottom;
-                let client_stream = derive_seed(self.config.seed, FLEET_LOADER_TAG | c as u64);
-                SflWorker::new(
-                    c,
-                    bottom,
-                    self.partition.indices[c % shards].clone(),
-                    derive_seed(client_stream, round as u64),
-                )
-            })
-            .collect()
+        self.workers.truncate(selected.len());
+        for (k, &c) in selected.iter().enumerate() {
+            let shard = self.partition.indices[c % shards].clone();
+            let client_stream = derive_seed(self.config.seed, FLEET_LOADER_TAG | c as u64);
+            let seed = derive_seed(client_stream, round as u64);
+            match self.workers.get_mut(k) {
+                Some(slot) => slot.retarget(c, shard, seed),
+                None => {
+                    let model_seed = derive_seed(self.config.seed, 4);
+                    let bottom =
+                        zoo::build(self.spec.architecture, self.spec.num_classes, model_seed)
+                            .into_split()
+                            .bottom;
+                    self.workers.push(SflWorker::new(c, bottom, shard, seed));
+                }
+            }
+        }
     }
 
     /// Computes the simulated round timing for the selected cohort, including the

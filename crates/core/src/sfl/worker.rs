@@ -42,6 +42,14 @@ impl SflWorker {
         }
     }
 
+    /// Re-targets this worker at another client: a new id and a fresh loader over
+    /// `shard` seeded with `seed`. The bottom replica and optimizer stay; callers load
+    /// the global bottom before training, which overwrites both.
+    pub(crate) fn retarget(&mut self, id: usize, shard: Vec<usize>, seed: u64) {
+        self.id = id;
+        self.loader = WorkerLoader::new(shard, seed);
+    }
+
     /// Number of samples in the worker's local shard.
     pub fn shard_size(&self) -> usize {
         self.loader.shard_size()

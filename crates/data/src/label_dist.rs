@@ -113,18 +113,7 @@ impl LabelDistribution {
             other.num_classes(),
             "kl_divergence: class count mismatch"
         );
-        const EPS: f32 = 1e-8;
-        self.probs
-            .iter()
-            .zip(&other.probs)
-            .map(|(&p, &q)| {
-                if p <= 0.0 {
-                    0.0
-                } else {
-                    p * (p / q.max(EPS)).ln()
-                }
-            })
-            .sum()
+        kl_divergence(&self.probs, &other.probs)
     }
 
     /// Total-variation distance to another distribution, in `[0, 1]`.
@@ -141,6 +130,23 @@ impl LabelDistribution {
             .map(|(p, q)| (p - q).abs())
             .sum::<f32>()
     }
+}
+
+/// `KL(p ‖ q)` over equally long probability slices: the arithmetic of
+/// [`LabelDistribution::kl_divergence`], for callers that fold a mixture into scratch
+/// storage instead of building a distribution.
+pub fn kl_divergence(p: &[f32], q: &[f32]) -> f32 {
+    const EPS: f32 = 1e-8;
+    p.iter()
+        .zip(q)
+        .map(|(&p, &q)| {
+            if p <= 0.0 {
+                0.0
+            } else {
+                p * (p / q.max(EPS)).ln()
+            }
+        })
+        .sum()
 }
 
 #[cfg(test)]
