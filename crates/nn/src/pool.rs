@@ -207,6 +207,10 @@ impl<T> Default for Reservoir<T> {
 /// pool and global reservoir; `Default` supplies the fill value for zeroed pages
 /// (`0.0` / `0`), and pages are created fully initialised so reuse is safe code only.
 pub trait Poolable: Copy + Default + Send + 'static {
+    /// The value debug builds fill pooled [`take_uninit`] checkouts with, so a read
+    /// before the first write surfaces (`NaN` / `usize::MAX`) instead of silently
+    /// reusing stale contents.
+    const POISON: Self;
     /// Runs `f` against this thread's local pool; `None` if thread-local storage is
     /// already torn down (drops during thread exit degrade to plain frees).
     fn with_local<R>(f: impl FnOnce(&mut LocalPool<Self>) -> R) -> Option<R>;
@@ -215,7 +219,7 @@ pub trait Poolable: Copy + Default + Send + 'static {
 }
 
 macro_rules! poolable {
-    ($ty:ty, $local:ident, $reservoir:ident) => {
+    ($ty:ty, $poison:expr, $local:ident, $reservoir:ident) => {
         thread_local! {
             static $local: RefCell<LocalPool<$ty>> = RefCell::new(LocalPool::default());
         }
@@ -223,6 +227,7 @@ macro_rules! poolable {
             classes: [const { Vec::new() }; NUM_CLASSES],
         });
         impl Poolable for $ty {
+            const POISON: Self = $poison;
             fn with_local<R>(f: impl FnOnce(&mut LocalPool<Self>) -> R) -> Option<R> {
                 $local.try_with(|cell| f(&mut cell.borrow_mut())).ok()
             }
@@ -233,14 +238,17 @@ macro_rules! poolable {
     };
 }
 
-poolable!(f32, LOCAL_F32, RESERVOIR_F32);
-poolable!(usize, LOCAL_USIZE, RESERVOIR_USIZE);
+poolable!(f32, f32::NAN, LOCAL_F32, RESERVOIR_F32);
+poolable!(usize, usize::MAX, LOCAL_USIZE, RESERVOIR_USIZE);
 
 /// Checks a page out of the pool for `len` elements with **unspecified contents**
 /// (stale values from its previous owner). Only use when every element in `0..len` is
 /// written before being read — the GEMM and conv pack panels and elementwise
 /// producers all qualify. Contents are unspecified but always initialised memory, so
-/// this is safe; it just isn't zeroed.
+/// this is safe; it just isn't zeroed. Debug builds fill pooled pages with
+/// [`Poolable::POISON`] while the disabled pool keeps handing out zeroes, so a
+/// read-before-write makes the pool-on run diverge from the pool-off oracle instead of
+/// hiding behind whatever the page held.
 pub fn take_uninit<T: Poolable>(len: usize) -> Vec<T> {
     if len == 0 {
         return Vec::new();
@@ -256,6 +264,9 @@ pub fn take_uninit<T: Poolable>(len: usize) -> Vec<T> {
         None => fresh_page(class),
     };
     page.truncate(len);
+    if cfg!(debug_assertions) {
+        page.fill(T::POISON);
+    }
     page
 }
 
@@ -635,6 +646,22 @@ mod tests {
         recycle(buf);
         let delta = stats().since(&before);
         assert_eq!((delta.hits, delta.refills, delta.misses), (0, 0, 0));
+    }
+
+    #[test]
+    fn debug_builds_poison_pooled_uninit_checkouts() {
+        let _guard = lock();
+        let mut buf = take_uninit::<f32>(256);
+        buf.fill(7.0);
+        recycle(buf);
+        let stale = take_uninit::<f32>(256);
+        let idx = take_uninit::<usize>(256);
+        if cfg!(debug_assertions) {
+            assert!(stale.iter().all(|v| v.is_nan()));
+            assert!(idx.iter().all(|&i| i == usize::MAX));
+        }
+        recycle(stale);
+        recycle(idx);
     }
 
     #[test]
