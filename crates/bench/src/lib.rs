@@ -8,8 +8,8 @@
 //! * `standard` — larger runs closer to the paper's setting;
 //! * `paper` — the paper's 80-worker, full-round-budget setting (hours of CPU time).
 //!
-//! Results are printed as aligned text tables and, when `MERGESFL_JSON=1`, additionally as
-//! JSON lines for machine consumption.
+//! Results are printed as aligned text tables and, when `MERGESFL_JSON` is on, additionally
+//! as JSON lines for machine consumption.
 
 // No unsafe anywhere in this crate: the workspace's only audited unsafe lives in
 // mergesfl_nn (pool.rs, kernels/gemm.rs, kernels/micro.rs).
@@ -67,9 +67,10 @@ impl Scale {
     }
 }
 
-/// Whether JSON-lines output was requested (`MERGESFL_JSON=1`).
+/// Whether JSON-lines output was requested: `MERGESFL_JSON` is an on/off switch, off
+/// when unset, and any value it does not accept panics.
 pub fn json_output() -> bool {
-    mergesfl_nn::env::var("MERGESFL_JSON").is_some_and(|v| v == "1")
+    mergesfl_nn::env::switch("MERGESFL_JSON").unwrap_or(false)
 }
 
 /// Runs one approach and prints a one-line summary; returns the full result.
@@ -211,35 +212,33 @@ pub fn format_curve(result: &RunResult) -> String {
 }
 
 /// Datasets restricted by the optional `MERGESFL_DATASETS` environment variable; see
-/// `parse_datasets_setting`.
+/// `parse_datasets`. Unset or empty means all four; a token that names no dataset panics
+/// instead of being skipped.
 pub fn datasets_from_env() -> Vec<DatasetKind> {
-    parse_datasets_setting(mergesfl_nn::env::var("MERGESFL_DATASETS").as_deref())
+    let accepted = "a comma-separated list of har, speech, cifar10 (cifar), image100 (image)";
+    mergesfl_nn::env::parsed("MERGESFL_DATASETS", accepted, parse_datasets)
+        .unwrap_or_else(|| DatasetKind::all().to_vec())
 }
 
 /// Parses a `MERGESFL_DATASETS` setting: a comma-separated subset of `har`, `speech`,
 /// `cifar10` (alias `cifar`) and `image100` (alias `image`), ASCII case-insensitive.
-/// Unset, empty or only-empty tokens mean all four; a non-empty token that names no
-/// dataset panics instead of being skipped.
-fn parse_datasets_setting(setting: Option<&str>) -> Vec<DatasetKind> {
+/// Only-empty tokens mean all four; `None` if a non-empty token names no dataset.
+fn parse_datasets(setting: &str) -> Option<Vec<DatasetKind>> {
     let mut out = Vec::new();
-    for token in setting.unwrap_or_default().split(',').map(str::trim) {
+    for token in setting.split(',').map(str::trim) {
         out.push(match token.to_ascii_lowercase().as_str() {
             "" => continue,
             "har" => DatasetKind::Har,
             "speech" => DatasetKind::Speech,
             "cifar10" | "cifar" => DatasetKind::Cifar10,
             "image100" | "image" => DatasetKind::Image100,
-            _ => panic!(
-                "MERGESFL_DATASETS token {token:?} is not a dataset; \
-                 accepted values: har, speech, cifar10 (cifar), image100 (image)"
-            ),
+            _ => return None,
         });
     }
     if out.is_empty() {
-        DatasetKind::all().to_vec()
-    } else {
-        out
+        out = DatasetKind::all().to_vec();
     }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -256,21 +255,20 @@ mod tests {
 
     #[test]
     fn datasets_setting_filters_and_defaults_to_all() {
-        let all = DatasetKind::all().to_vec();
-        assert_eq!(parse_datasets_setting(None), all);
-        assert_eq!(parse_datasets_setting(Some("")), all);
-        assert_eq!(parse_datasets_setting(Some(" , ")), all);
-        assert_eq!(parse_datasets_setting(Some("har")), [DatasetKind::Har]);
+        let all = Some(DatasetKind::all().to_vec());
+        assert_eq!(parse_datasets(""), all);
+        assert_eq!(parse_datasets(","), all);
+        assert_eq!(parse_datasets("har"), Some(vec![DatasetKind::Har]));
         assert_eq!(
-            parse_datasets_setting(Some("Image, cifar10,")),
-            [DatasetKind::Image100, DatasetKind::Cifar10]
+            parse_datasets("Image, cifar10,"),
+            Some(vec![DatasetKind::Image100, DatasetKind::Cifar10])
         );
     }
 
     #[test]
-    #[should_panic(expected = "accepted values: har, speech, cifar10 (cifar), image100 (image)")]
-    fn mistyped_dataset_setting_fails_loudly() {
-        parse_datasets_setting(Some("har,cifr10"));
+    fn mistyped_dataset_setting_is_rejected() {
+        // `env::parsed` turns the rejection into a panic naming the knob.
+        assert_eq!(parse_datasets("har,cifr10"), None);
     }
 
     #[test]

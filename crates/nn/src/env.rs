@@ -35,7 +35,7 @@
 //! | `MERGESFL_CHURN` | `RunConfig::with_env_overrides` | availability churn: `on` or `off` (default) |
 //! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (positive number, default 0.70); any other value fails `--check` |
 //! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default; also when unset or empty) / `standard` / `paper`; any other value panics |
-//! | `MERGESFL_JSON` | `mergesfl_bench` | `1` switches bench output to JSON lines |
+//! | `MERGESFL_JSON` | `mergesfl_bench` | JSON-lines output: `on` adds a `JSON {...}` line per run to the tables, `off` (default) prints tables only; any other value panics |
 //! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter over `har`, `speech`, `cifar10` / `cifar`, `image100` / `image` (default: all four); any other token panics |
 //! | `RAYON_NUM_THREADS` | rayon shim | worker-thread cap (read directly by the shim) |
 
