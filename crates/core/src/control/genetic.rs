@@ -257,12 +257,12 @@ pub fn select_workers(
         }
     }
 
-    // Slot 0 always holds `best`: the first prefix, then the elite carried over.
     let mut best = population[..words].to_vec();
     let mut best_fit = tables.fitness(&best, &mut mix);
-    fits[0] = best_fit;
 
     for _ in 0..config.generations {
+        // Slot 0 holds `best`: the first prefix, then the elite carried over.
+        fits[0] = best_fit;
         for (fit, mask) in fits.iter_mut().zip(population.chunks_exact(words)).skip(1) {
             *fit = tables.fitness(mask, &mut mix);
         }
@@ -304,7 +304,6 @@ pub fn select_workers(
             }
         }
         std::mem::swap(&mut population, &mut next);
-        fits[0] = best_fit;
     }
 
     // Final repair: drop selected workers (lowest priority first, i.e. from the back of the
