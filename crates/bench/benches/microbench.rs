@@ -125,6 +125,33 @@ fn bench_control() {
         select_workers(&problem, &GeneticConfig::default(), 7)
     });
 
+    // Genetic selection at the fleet planner's shape: 256 candidates, 6 classes, a cohort
+    // cap of 64 and a budget that binds near the cap.
+    let fleet_dists: Vec<LabelDistribution> = (0..256)
+        .map(|i| {
+            let mut v = vec![0.2f32; 6];
+            v[i % 6] += 1.0 + (i % 7) as f32;
+            v[(i / 6) % 6] += 0.5;
+            LabelDistribution::new(v)
+        })
+        .collect();
+    let fleet_refs: Vec<&LabelDistribution> = fleet_dists.iter().collect();
+    let fleet_candidates: Vec<usize> = (0..256).collect();
+    let fleet_batches: Vec<usize> = (0..256).map(|i| 4 + i % 25).collect();
+    let phi0_6 = LabelDistribution::uniform(6);
+    bench("control/genetic_selection_256", || {
+        let problem = SelectionProblem {
+            candidates: &fleet_candidates,
+            label_dists: &fleet_refs,
+            batch_sizes: &fleet_batches,
+            iid_reference: &phi0_6,
+            feature_bytes_per_sample: 256.0,
+            budget_bytes: 64.0 * 16.0 * 256.0,
+            max_selected: 64,
+        };
+        select_workers(&problem, &GeneticConfig::default(), 7)
+    });
+
     // Batch fine-tuning for a 10-worker cohort.
     let sel_dists: Vec<&LabelDistribution> = cand_refs.iter().take(10).copied().collect();
     let sel_batches = vec![16usize; 10];
