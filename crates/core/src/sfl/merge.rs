@@ -63,7 +63,7 @@ impl MergedBatch {
 
 /// Merges per-worker uploads into a single mixed feature sequence (feature merging).
 pub fn merge_features(uploads: &[FeatureUpload]) -> MergedBatch {
-    // lint: allow(hot-path-alloc) cohort-sized ref list (tens of pointers per round)
+    // Cohort-sized ref list (tens of pointers per round)
     let refs: Vec<&FeatureUpload> = uploads.iter().collect();
     merge_feature_refs(&refs)
 }
@@ -73,15 +73,13 @@ pub fn merge_features(uploads: &[FeatureUpload]) -> MergedBatch {
 /// upload buffer.
 pub fn merge_feature_refs(uploads: &[&FeatureUpload]) -> MergedBatch {
     assert!(!uploads.is_empty(), "merge_features: no uploads");
-    // lint: allow(hot-path-alloc) cohort-sized ref list (tens of pointers per round)
+    // Cohort-sized ref list (tens of pointers per round)
     let tensors: Vec<&Tensor> = uploads.iter().map(|u| &u.features).collect();
     let features = Tensor::concat_batch(&tensors);
-    // lint: allow(hot-path-alloc) per-round merge metadata (labels, order, sizes)
+    // Per-round merge metadata (labels, order, sizes)
     // scales with cohort size, not feature volume; the feature payload is pooled
     let mut labels = Vec::with_capacity(features.batch());
-    // lint: allow(hot-path-alloc) per-round merge metadata, cohort-sized
     let mut worker_order = Vec::with_capacity(uploads.len());
-    // lint: allow(hot-path-alloc) per-round merge metadata, cohort-sized
     let mut sizes = Vec::with_capacity(uploads.len());
     for u in uploads {
         labels.extend_from_slice(&u.labels);
@@ -104,7 +102,7 @@ pub fn align_gradients(
     cohort_order: &[usize],
     gradients: Vec<(usize, Tensor)>,
 ) -> Vec<Option<Tensor>> {
-    // lint: allow(hot-path-alloc) cohort-sized slot list rebuilt once per round
+    // Cohort-sized slot list rebuilt once per round
     let mut aligned: Vec<Option<Tensor>> = (0..cohort_order.len()).map(|_| None).collect();
     for (worker_id, grad) in gradients {
         let pos = cohort_order
@@ -131,7 +129,7 @@ pub fn dispatch_gradients(merged: &MergedBatch, grad: &Tensor) -> Vec<(usize, Te
         merged.total()
     );
     let parts = grad.split_batch(&merged.sizes);
-    // lint: allow(hot-path-alloc) cohort-sized pair list; tensor payloads are pooled
+    // Cohort-sized pair list; tensor payloads are pooled
     merged.worker_order.iter().copied().zip(parts).collect()
 }
 

@@ -20,24 +20,28 @@
 //! knob keeps the preset's value; any other value must parse ([`switch`], [`integer`],
 //! [`parsed`]) or the run panics naming the knob and the values it accepts.
 //!
-//! | Variable | Read by | Meaning |
-//! |---|---|---|
-//! | `MERGESFL_PIPELINE` | `RunConfig::with_env_overrides` | simulated-clock schedule: `on` charges the pipelined makespan, `off` (default) the barrier one. Execution and trajectories are the same either way |
-//! | `MERGESFL_KERNELS` | `RunConfig::with_env_overrides` | compute backend: `blocked` (default) or `naive` (the oracle) |
-//! | `MERGESFL_MICROKERNEL` | `RunConfig::with_env_overrides` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available) |
-//! | `MERGESFL_TILING` | `RunConfig::with_env_overrides` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,tile=MRxNR` (any subset; default: per-shape selection); an unknown key or a malformed value panics |
-//! | `MERGESFL_TENSOR_POOL` | `RunConfig::with_env_overrides` | pooled tensor memory: `on` (default) or `off` |
-//! | `MERGESFL_NUM_SERVERS` | `RunConfig::with_env_overrides` | number of top-model shards (integer ≥ 1, default 1) |
-//! | `MERGESFL_SYNC_EVERY` | `RunConfig::with_env_overrides` | rounds between cross-shard synchronisations (integer ≥ 1, default 1) |
-//! | `MERGESFL_STALENESS` | `RunConfig::with_env_overrides` | bounded-staleness window (integer ≥ 0; default 0 = fully synchronous) |
-//! | `MERGESFL_TOPOLOGY` | `RunConfig::with_env_overrides` | server-shard topology: `replicated` (default) or `partitioned` / `output-partitioned` |
-//! | `MERGESFL_FLEET` | `RunConfig::with_env_overrides` | registered fleet size (integer ≥ num_workers; default: the classic dense regime) |
-//! | `MERGESFL_CHURN` | `RunConfig::with_env_overrides` | availability churn: `on` or `off` (default) |
-//! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (positive number, default 0.70); any other value fails `--check` |
-//! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default; also when unset or empty) / `standard` / `paper`; any other value panics |
-//! | `MERGESFL_JSON` | `mergesfl_bench` | JSON-lines output: `on` adds a `JSON {...}` line per run to the tables, `off` (default) prints tables only; any other value panics |
-//! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter over `har`, `speech`, `cifar10` / `cifar`, `image100` / `image` (default: all four); any other token panics |
-//! | `RAYON_NUM_THREADS` | rayon shim | worker-thread cap (read directly by the shim) |
+//! The last column says what setting a knob changes — trajectory, simulated clock,
+//! traffic, allocations, or nothing — and names the test that pins each "same
+//! trajectory" claim; a claim no test pins is marked unverified.
+//!
+//! | Variable | Read by | Meaning | Changes |
+//! |---|---|---|---|
+//! | `MERGESFL_PIPELINE` | `RunConfig::with_env_overrides` | simulated-clock schedule: `on` charges the pipelined makespan, `off` (default) the barrier one. Execution and trajectories are the same either way | the simulated clock only; same trajectory and traffic (`determinism::pipelined_matches_barrier_trajectory_bit_for_bit`) |
+//! | `MERGESFL_KERNELS` | `RunConfig::with_env_overrides` | compute backend: `blocked` (default) or `naive` (the oracle) | nothing: blocked and naive kernels agree bit for bit (`kernel_parity::{gemm,conv2d,conv1d}_matches_naive_across_shapes`); unverified for whole runs in tier-1 (the benchmark's naive oracle holds losses within 1e-4) |
+//! | `MERGESFL_MICROKERNEL` | `RunConfig::with_env_overrides` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available) | nothing: `portable` gives the same run (`determinism::forced_portable_micro_kernel_is_bit_identical_to_auto`), and every kernel the same bits (`kernel_parity::parity_matrix_micro_kernel_by_scheme_by_layout`); the SIMD kernels are unverified for whole runs |
+//! | `MERGESFL_TILING` | `RunConfig::with_env_overrides` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,tile=MRxNR` (any subset; default: per-shape selection); an unknown key or a malformed value panics | nothing: every scheme gives the same kernel bits (`kernel_parity::parity_matrix_micro_kernel_by_scheme_by_layout`); unverified for whole runs |
+//! | `MERGESFL_TENSOR_POOL` | `RunConfig::with_env_overrides` | pooled tensor memory: `on` (default) or `off` | allocations only; same trajectory (`determinism::tensor_pool_is_bit_identical_across_the_execution_matrix`) |
+//! | `MERGESFL_NUM_SERVERS` | `RunConfig::with_env_overrides` | number of top-model shards (integer ≥ 1, default 1) | above 1: trajectory, clock and traffic under `replicated`; clock and traffic only under `partitioned` (`determinism::output_partitioned_shards_are_bit_identical_to_the_single_server`) |
+//! | `MERGESFL_SYNC_EVERY` | `RunConfig::with_env_overrides` | rounds between cross-shard synchronisations (integer ≥ 1, default 1) | nothing at one server (`determinism::single_shard_is_bit_identical_to_the_reference_across_the_full_matrix`); trajectory, clock and traffic with replicated shards |
+//! | `MERGESFL_STALENESS` | `RunConfig::with_env_overrides` | bounded-staleness window (integer ≥ 0; default 0 = fully synchronous) | above 0: trajectory and clock (`convergence::{positive_staleness_changes_the_trajectory, stale_pipelined_rounds_finish_earlier_than_synchronous_pipelining}`) |
+//! | `MERGESFL_TOPOLOGY` | `RunConfig::with_env_overrides` | server-shard topology: `replicated` (default) or `partitioned` / `output-partitioned` | with several servers, `partitioned` keeps the one-server model trajectory and changes clock and traffic (`determinism::output_partitioned_shards_are_bit_identical_to_the_single_server`); unverified at one server |
+//! | `MERGESFL_FLEET` | `RunConfig::with_env_overrides` | registered fleet size (integer ≥ num_workers; default: the classic dense regime) | above `num_workers`: trajectory, clock, traffic and allocations; nothing at `num_workers` (`determinism::trivial_fleet_is_bit_identical_to_the_classic_path_across_the_matrix`) |
+//! | `MERGESFL_CHURN` | `RunConfig::with_env_overrides` | availability churn: `on` or `off` (default) | `on`: trajectory, clock and traffic (client availability and mid-round dropout) |
+//! | `MERGESFL_PERF_FLOOR` | `kernel_bench` | fraction of the committed baseline's gate speedup a fresh `--check` run must reach (positive number, default 0.70); any other value fails `--check` | nothing in a run: only the pass threshold of `kernel_bench --check` |
+//! | `MERGESFL_SCALE` | `mergesfl_bench` | experiment scale: `quick` (default; also when unset or empty) / `standard` / `paper`; any other value panics | everything: it picks the preset |
+//! | `MERGESFL_JSON` | `mergesfl_bench` | JSON-lines output: `on` adds a `JSON {...}` line per run to the tables, `off` (default) prints tables only; any other value panics | nothing but output: adds lines to stdout; unverified (no test compares the tables with and without it) |
+//! | `MERGESFL_DATASETS` | `mergesfl_bench` | comma-separated dataset filter over `har`, `speech`, `cifar10` / `cifar`, `image100` / `image` (default: all four); any other token panics | which runs execute; that each run is the same is unverified |
+//! | `RAYON_NUM_THREADS` | rayon shim | worker-thread cap (read directly by the shim) | nothing but wall-clock and allocations (thread spawns): kernels give the same bits at 1 and 4 threads (`kernels::pool::tests::plane_fan_out_matches_the_single_thread_scan`), and fanned-out runs equal sequential ones (`determinism::parallel_matches_sequential_exactly_for_sfl`); unverified across thread counts for whole runs |
 
 /// Reads `name`, returning `None` when unset or not valid Unicode.
 ///

@@ -541,8 +541,7 @@ impl PanelOp for Forward<'_> {
             // the tile boundaries fall.
             let per_task = geom.n.div_ceil(threads);
             let chunks = out.chunks_mut(per_task * per_out).enumerate();
-            // lint: allow(hot-path-alloc) multi-core fan-out task list; the alloc-gated
-            // single-core path never reaches here
+            // Multi-core fan-out task list; the single-core path never reaches here
             let tasks: Vec<(usize, &mut [f32])> = chunks.collect();
             tasks.into_par_iter().for_each(|(t, chunk)| {
                 forward_tiles(geom, &pk, &patches, &wp, bias, chunk, t * per_task)

@@ -174,8 +174,7 @@ pub fn gemm_cfg(
                         .chunks_mut(rows_per * n)
                         .enumerate()
                         .map(|(t, chunk)| (t * rows_per, chunk))
-                        // lint: allow(hot-path-alloc) multi-core fan-out task list; the
-                        // alloc-gated single-core path never reaches here
+                        // Multi-core fan-out task list; the single-core path never reaches here
                         .collect();
                     tasks.into_par_iter().for_each(|(row0, c_rows)| {
                         let m_local = c_rows.len() / n;

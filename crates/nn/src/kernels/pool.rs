@@ -90,8 +90,7 @@ fn scan(
         }
     };
     if rayon::current_num_threads() > 1 && planes > 1 && x.len() >= PAR_MIN_ELEMS {
-        // lint: allow(hot-path-alloc) multi-core fan-out task list; the
-        // alloc-gated single-core path never reaches here
+        // Multi-core fan-out task list; the single-core path never reaches here
         let tasks: Vec<PlaneTask<'_>> = tasks.collect();
         tasks.into_par_iter().for_each(run);
     } else {

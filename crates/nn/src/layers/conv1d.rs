@@ -130,14 +130,11 @@ impl Layer for Conv1d {
     }
 
     fn params(&self) -> Vec<&Param> {
-        // lint: allow(hot-path-alloc) two-element parameter enumeration, called
-        // once per optimizer step rather than per sample
+        // Two-element list, built once per optimizer step rather than per sample
         vec![&self.weight, &self.bias]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        // lint: allow(hot-path-alloc) two-element parameter enumeration, called
-        // once per optimizer step rather than per sample
         vec![&mut self.weight, &mut self.bias]
     }
 

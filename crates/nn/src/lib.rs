@@ -34,6 +34,8 @@
 // `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(test)]
+mod canaries;
 pub mod env;
 pub mod init;
 pub mod kernels;

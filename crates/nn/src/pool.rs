@@ -35,7 +35,9 @@
 //! `GlobalAlloc` wrapper around the system allocator that counts every heap
 //! allocation; `kernel_bench` installs it as the global allocator and uses it,
 //! together with the pool counters, as the probe behind the CI allocation gate
-//! (steady-state `allocs_per_iter == 0` on the gated kernels).
+//! (steady-state `allocs_per_iter == 0` on the gated kernels), and the tier-1
+//! allocation budget (`tests/alloc_budget.rs`) installs it to bound warm passes, kernel
+//! calls and rounds.
 
 #![allow(
     unsafe_code,
@@ -254,7 +256,7 @@ pub fn take_uninit<T: Poolable>(len: usize) -> Vec<T> {
         return Vec::new();
     }
     if !enabled() {
-        // lint: allow(hot-path-alloc) pool disabled = the deliberate oracle path
+        // Pool disabled = the deliberate oracle path
         return vec![T::default(); len];
     }
     let class = size_class(len);
@@ -317,7 +319,7 @@ fn pop_page<T: Poolable>(local: &mut LocalPool<T>, class: usize) -> Option<Vec<T
 fn fresh_page<T: Poolable>(class: usize) -> Vec<T> {
     MISSES.fetch_add(1, Ordering::Relaxed);
     PAGE_BYTES.fetch_add((class * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
-    // lint: allow(hot-path-alloc) cold path: pages are minted once, then recycled
+    // Cold path: pages are minted once, then recycled
     vec![T::default(); class]
 }
 
@@ -410,9 +412,10 @@ static HEAP_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Counting wrapper around the system allocator. `kernel_bench` installs it via
 /// `#[global_allocator]` and reads [`heap_allocs`] around a timed region to measure
-/// `allocs_per_iter`; the fleet-scale tests read [`heap_bytes`] the same way to bound
-/// per-registered-client memory. The library never installs it, so training binaries
-/// pay nothing.
+/// `allocs_per_iter`; the allocation-budget test (`tests/alloc_budget.rs`) reads it the
+/// same way to bound warm passes, kernel calls and rounds, and the fleet-scale tests
+/// read [`heap_bytes`] to bound per-registered-client memory. The library never
+/// installs it, so training binaries pay nothing.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counters are relaxed

@@ -27,9 +27,9 @@ pub mod prelude {
 static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Pins (or, with 0, unpins) the fan-out width for subsequent parallel calls,
-/// process-wide. The allocation-counting phase of `kernel_bench` pins 1 so thread
-/// spawns stay out of its steady-state heap-allocation counts; real rayon has no such
-/// hook because its pool is sized once at build time.
+/// process-wide. The allocation-counting phase of `kernel_bench` and the allocation
+/// budget test pin 1 so thread spawns stay out of their heap-allocation counts; real
+/// rayon has no such hook because its pool is sized once at build time.
 pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, std::sync::atomic::Ordering::Relaxed);
 }

@@ -51,11 +51,11 @@ fn the_knob_table_lists_exactly_the_names_the_program_reads() {
     for dir in ["crates", "src", "examples"] {
         rust_files(Path::new(env!("CARGO_MANIFEST_DIR")).join(dir), &mut files);
     }
-    // Code outside each file's trailing `#[cfg(test)]` module; the analysis crate's
-    // canaries are compile-only clippy fixtures that nothing runs.
+    // Code outside each file's trailing `#[cfg(test)]` module; the clippy canaries are
+    // a compile-only `#[cfg(test)]` module of their own that nothing runs.
     let read_by_the_program: BTreeSet<String> = files
         .iter()
-        .filter(|path| !path.ends_with("crates/analysis/src/canaries.rs"))
+        .filter(|path| !path.ends_with("crates/nn/src/canaries.rs"))
         .map(|path| read(path))
         .flat_map(|source| knob_names(source.split("#[cfg(test)]").next().unwrap(), true))
         .collect();
